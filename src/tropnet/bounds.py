@@ -184,20 +184,20 @@ def verify_layer_concentration(spec: NetworkSpec, t_grid: Sequence[float],
                                n: int = 100_000, seed: int = 0,
                                layers: Sequence[int] | None = None,
                                x=None, pilot_n: int | None = None,
-                               simulate=simulate_layer_outputs) -> list[BoundReport]:
+                               map=map) -> list[BoundReport]:
     """Monte Carlo check of the norm-sub-Gaussian layer bound.
 
     The layer mean is estimated on an independent pilot set to avoid reuse
     bias; tails on the evaluation set are then compared against
-    2 exp(-t^2 / (2 xi_l^2)) with xi_l from the interval certificate.  A
-    batch-producing ``simulate`` callable may be injected (the harness
-    passes its worker-pool variant; results are identical by the stream
+    2 exp(-t^2 / (2 xi_l^2)) with xi_l from the interval certificate.
+    ``map`` runs the simulation blocks of both sets (the harness passes a
+    process pool's ``map``; results are identical by the stream
     discipline).
     """
     layers = list(layers) if layers is not None else list(range(1, spec.depth + 1))
     pilot_n = pilot_n or n
-    pilot = simulate(spec, pilot_n, seed, x=x, tag="pilot")
-    sample = simulate(spec, n, seed, x=x, tag="eval")
+    pilot = simulate_layer_outputs(spec, pilot_n, seed, x=x, tag="pilot", map=map)
+    sample = simulate_layer_outputs(spec, n, seed, x=x, tag="eval", map=map)
     intervals = propagate_intervals(spec)
     reports = []
     for l in layers:

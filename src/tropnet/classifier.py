@@ -13,12 +13,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .bounds import SE_SLACK
 from .networks import NetworkSpec, simulate_layer_outputs
+from .seeding import item_seed
 
 
 class ScoreSpecError(ValueError):
@@ -150,7 +152,7 @@ class AuditRow:
 
 def disagreement_audit(spec: NetworkSpec, score_spec: ScoreSpec,
                        inputs: np.ndarray, n: int = 10_000,
-                       seed: int = 0) -> list[AuditRow]:
+                       seed: int = 0, map=map) -> list[AuditRow]:
     """Audit how often stochastic decisions disagree with the expected one.
 
     For each input the expected score is estimated on a pilot set; inputs
@@ -158,32 +160,37 @@ def disagreement_audit(spec: NetworkSpec, score_spec: ScoreSpec,
     and not judged.  For resolved inputs an independent evaluation set
     measures the frequency of draws falling on the wrong side of c, which
     must not exceed exp(-2 t^2 / (b-a)^2) beyond statistical slack.
+    Input ``i`` draws from streams keyed by ``item_seed(seed, "classify",
+    i)``; ``map`` runs the inputs (a process pool's ``map`` runs them in
+    its workers, with identical results).
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    rows = []
-    for i, x in enumerate(inputs):
-        est, se = expected_score(spec, score_spec, x, n=n, seed=seed * 1_000_003 + 2 * i)
-        t = abs(est - score_spec.c)
-        if t <= SE_SLACK * se:
-            rows.append(AuditRow(input_id=i, estimate=est, se=se, label="abstain",
-                                 t=t, bound=1.0, empirical=float("nan"),
-                                 empirical_se=float("nan"), verdict="unresolved"))
-            continue
-        label = "C1" if est > score_spec.c else "C2"
-        nu = simulate_layer_outputs(spec, n, seed * 1_000_003 + 2 * i + 1,
-                                    x=x, tag="audit")[-1][:, 0]
-        s = np.asarray(score(score_spec, nu))
-        if label == "C1":
-            disagree = float(np.mean(s <= score_spec.c))
-        else:
-            disagree = float(np.mean(s >= score_spec.c))
-        emp_se = math.sqrt(disagree * (1.0 - disagree) / n)
-        bound = min(math.exp(-2.0 * t * t / ((score_spec.b - score_spec.a) ** 2)), 1.0)
-        verdict = "consistent" if disagree <= bound + SE_SLACK * emp_se else "violated"
-        rows.append(AuditRow(input_id=i, estimate=est, se=se, label=label, t=t,
-                             bound=bound, empirical=disagree,
-                             empirical_se=emp_se, verdict=verdict))
-    return rows
+    return list(map(_audit_input, repeat(spec), repeat(score_spec), list(inputs),
+                    repeat(n), repeat(seed), range(len(inputs))))
+
+
+def _audit_input(spec: NetworkSpec, score_spec: ScoreSpec, x: np.ndarray,
+                 n: int, seed: int, i: int) -> AuditRow:
+    input_seed = item_seed(seed, "classify", i)
+    est, se = expected_score(spec, score_spec, x, n=n, seed=input_seed)
+    t = abs(est - score_spec.c)
+    if t <= SE_SLACK * se:
+        return AuditRow(input_id=i, estimate=est, se=se, label="abstain",
+                        t=t, bound=1.0, empirical=float("nan"),
+                        empirical_se=float("nan"), verdict="unresolved")
+    label = "C1" if est > score_spec.c else "C2"
+    nu = simulate_layer_outputs(spec, n, input_seed, x=x, tag="audit")[-1][:, 0]
+    s = np.asarray(score(score_spec, nu))
+    if label == "C1":
+        disagree = float(np.mean(s <= score_spec.c))
+    else:
+        disagree = float(np.mean(s >= score_spec.c))
+    emp_se = math.sqrt(disagree * (1.0 - disagree) / n)
+    bound = min(math.exp(-2.0 * t * t / ((score_spec.b - score_spec.a) ** 2)), 1.0)
+    verdict = "consistent" if disagree <= bound + SE_SLACK * emp_se else "violated"
+    return AuditRow(input_id=i, estimate=est, se=se, label=label, t=t,
+                    bound=bound, empirical=disagree,
+                    empirical_se=emp_se, verdict=verdict)
 
 
 def audit_to_csv(rows: Sequence[AuditRow], path):

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 error, 2 at least one bound-violation verdict.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -20,6 +21,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ from .bounds import (
     mgale_bound,
     region_count_concentration,
     reports_to_csv,
+    reports_to_json,
     simulate_random_walk,
     verify_layer_concentration,
     walk_tail_reports,
@@ -41,12 +44,12 @@ from .networks import (
     NetworkSpec,
     SpecError,
     network_spec_from_dict,
+    propagate_intervals,
     run_network,
     run_symbolic,
-    simulate_block,
     simulate_layer_outputs,
 )
-from .seeding import block_indices, stream
+from .seeding import stream
 from .stopping import (
     FiniteSupportProcess,
     GammaSpec,
@@ -206,27 +209,14 @@ def load_config(subcommand: str, path) -> ExperimentConfig:
 # Worker pool
 # ---------------------------------------------------------------------------
 
-def _pool_map(fn, args_list, workers: int):
-    """Order-preserving map over argument tuples, optionally in processes."""
-    if workers <= 1 or len(args_list) <= 1:
-        return [fn(*args) for args in args_list]
+@contextlib.contextmanager
+def _mapper(workers: int):
+    """Yield ``map``, or the ``map`` of one process pool when ``workers > 1``."""
+    if workers <= 1:
+        yield map
+        return
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args) for args in args_list]
-        return [f.result() for f in futures]
-
-
-def _parallel_layer_outputs(spec: NetworkSpec, n: int, seed: int, x, tag: str,
-                            workers: int):
-    """Pool-backed variant of simulate_layer_outputs; identical output."""
-    blocks = list(block_indices(n))
-    results = _pool_map(simulate_block,
-                        [(spec, size, seed, b, x, tag) for b, _, size in blocks],
-                        workers)
-    outs = [np.empty((n, spec.widths[l])) for l in range(1, spec.depth + 1)]
-    for (b, start, size), block in zip(blocks, results):
-        for l, arr in enumerate(block):
-            outs[l][start:start + size] = arr
-    return outs
+        yield pool.map
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +246,29 @@ class RunManifest:
             json.dump(dataclasses.asdict(self), fh, sort_keys=True, indent=1)
 
 
-def _finish(cfg: ExperimentConfig, out_dir: Path, t0: float,
+class _OutDir:
+    """Output directory of one run; ``out / name`` records ``name`` as written.
+
+    The manifest lists only these names, never files that earlier runs left
+    in the same directory.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.written: set[str] = set()
+
+    def __truediv__(self, name: str) -> Path:
+        self.written.add(name)
+        return self.path / name
+
+
+def _finish(cfg: ExperimentConfig, out: _OutDir, t0: float,
             exit_code: int) -> tuple[int, dict]:
-    files = {p.name: _sha256(p) for p in sorted(out_dir.iterdir())
-             if p.is_file() and p.name != "manifest.json"}
+    files = {name: _sha256(out.path / name) for name in sorted(out.written)}
     manifest = RunManifest(config_hash=cfg.config_hash, seed=cfg.seed,
                            version=__version__, files=files,
                            timings={"wall_seconds": time.time() - t0})
-    manifest.write(out_dir)
+    manifest.write(out.path)
     return exit_code, files
 
 
@@ -285,11 +290,12 @@ def run_subcommand(name: str, cfg: ExperimentConfig,
         "regions": _run_regions,
         "mgale-check": _run_mgale_check,
     }[name]
-    code = runner(cfg, out)
-    return _finish(cfg, out, t0, code)
+    written = _OutDir(out)
+    code = runner(cfg, written)
+    return _finish(cfg, written, t0, code)
 
 
-def _run_simulate(cfg: ExperimentConfig, out: Path) -> int:
+def _run_simulate(cfg: ExperimentConfig, out: _OutDir) -> int:
     opts = cfg.options
     n = opts.get("n", 10)
     x_fixed = opts.get("input")
@@ -320,45 +326,31 @@ def _run_simulate(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _run_bounds(cfg: ExperimentConfig, out: Path) -> int:
+def _run_bounds(cfg: ExperimentConfig, out: _OutDir) -> int:
     opts = cfg.options
     n = opts.get("n", 10_000)
     t_grid = opts.get("t_grid")
     if t_grid is None:
         # Default grid spans the certificate scale of the deepest layer.
-        from .networks import propagate_intervals
         xi = propagate_intervals(cfg.network)[-1].xi
         t_grid = list(np.linspace(0.0, 2.0 * xi, 10))
-    reports = verify_layer_concentration(
-        cfg.network, t_grid, n=n, seed=cfg.seed,
-        layers=opts.get("layers"), pilot_n=opts.get("pilot_n"),
-        simulate=lambda spec, m, seed, x=None, tag="batch":
-            _parallel_layer_outputs(spec, m, seed, x, tag, cfg.workers))
+    with _mapper(cfg.workers) as pool_map:
+        reports = verify_layer_concentration(
+            cfg.network, t_grid, n=n, seed=cfg.seed,
+            layers=opts.get("layers"), pilot_n=opts.get("pilot_n"), map=pool_map)
     reports_to_csv(reports, out / "bound_reports.csv")
     with open(out / "bound_reports.json", "w") as fh:
-        fh.write(_reports_json(reports))
+        fh.write(reports_to_json(reports))
     return EXIT_VIOLATION if any(r.verdict == "violated" for r in reports) \
         else EXIT_OK
 
 
-def _reports_json(reports) -> str:
-    from .bounds import reports_to_json
-    return reports_to_json(reports)
-
-
-def _audit_one(network, score, x, n, seed, input_id):
-    rows = disagreement_audit(network, score, np.asarray([x]), n=n, seed=seed)
-    return dataclasses.replace(rows[0], input_id=input_id)
-
-
-def _run_classify(cfg: ExperimentConfig, out: Path) -> int:
+def _run_classify(cfg: ExperimentConfig, out: _OutDir) -> int:
     opts = cfg.options
-    inputs = [np.asarray(p, dtype=float) for p in opts["inputs"]]
-    n = opts.get("n", 10_000)
-    rows = _pool_map(_audit_one,
-                     [(cfg.network, cfg.score, x, n, cfg.seed + i, i)
-                      for i, x in enumerate(inputs)],
-                     cfg.workers)
+    inputs = [np.asarray(p, dtype=float).reshape(-1) for p in opts["inputs"]]
+    with _mapper(cfg.workers) as pool_map:
+        rows = disagreement_audit(cfg.network, cfg.score, inputs,
+                                  n=opts.get("n", 10_000), seed=cfg.seed, map=pool_map)
     audit_to_csv(rows, out / "audit.csv")
     return EXIT_VIOLATION if any(r.verdict == "violated" for r in rows) else EXIT_OK
 
@@ -371,7 +363,7 @@ def _load_gamma_table(opts: dict):
     return np.atleast_1d(table)
 
 
-def _run_select_layers(cfg: ExperimentConfig, out: Path) -> int:
+def _run_select_layers(cfg: ExperimentConfig, out: _OutDir) -> int:
     opts = cfg.options
     method = opts.get("method", "deterministic")
     kwargs = dict(seed=cfg.seed, basis_degree=opts.get("basis_degree", 3))
@@ -417,7 +409,7 @@ def _symbolic_region_count(network, seed, cap):
     return seed, f.num_monomials, count_linear_regions(f).count
 
 
-def _run_regions(cfg: ExperimentConfig, out: Path) -> int:
+def _run_regions(cfg: ExperimentConfig, out: _OutDir) -> int:
     opts = cfg.options
     code = EXIT_OK
     if "polynomial" in opts:
@@ -440,10 +432,10 @@ def _run_regions(cfg: ExperimentConfig, out: Path) -> int:
             raise ConfigError("config.network",
                               "region sampling needs a scalar output with an "
                               "identity last layer")
-        results = _pool_map(_symbolic_region_count,
-                            [(cfg.network, cfg.seed * 1_000_003 + i, cap)
-                             for i in range(count)],
-                            cfg.workers)
+        with _mapper(cfg.workers) as pool_map:
+            results = list(pool_map(_symbolic_region_count, repeat(cfg.network),
+                                    [cfg.seed * 1_000_003 + i for i in range(count)],
+                                    repeat(cap)))
         with open(out / "regions.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["seed", "monomials", "regions"])
@@ -460,7 +452,7 @@ def _run_regions(cfg: ExperimentConfig, out: Path) -> int:
     return code
 
 
-def _run_mgale_check(cfg: ExperimentConfig, out: Path) -> int:
+def _run_mgale_check(cfg: ExperimentConfig, out: _OutDir) -> int:
     opts = cfg.options
     source = opts.get("source", "random-walk")
     code = EXIT_OK
@@ -508,7 +500,7 @@ def _run_mgale_check(cfg: ExperimentConfig, out: Path) -> int:
     return code
 
 
-def _write_grade(grade, out: Path):
+def _write_grade(grade, out: _OutDir):
     with open(out / "grade_report.json", "w") as fh:
         json.dump({
             "very_weak_falsified": grade.very_weak_falsified,

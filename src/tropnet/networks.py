@@ -10,9 +10,11 @@ threshold vectors.  Layers evolve through the coupled pair recursion
 
 with nu = F - G the layer output; ``forward_relu_direct`` implements the
 plain recursion nu' = max(A nu + b, t) and serves as the independent
-oracle for the pair form.  Both a numeric and a fully symbolic (tropical
-polynomial) forward pass are provided, plus an interval-arithmetic bound
-certificate for the layer output norms.
+oracle for the pair form.  The pair recursion serves single draws
+(``run_network``) and the fully symbolic (tropical polynomial) forward
+pass; batched Monte Carlo (``simulate_layer_outputs``) carries only nu
+through the direct recursion, on integer weights as drawn.  An
+interval-arithmetic certificate bounds the layer output norms.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 from scipy.special import ndtr
@@ -94,6 +97,9 @@ class DistributionSpec:
             object.__setattr__(self, "hi", hi)
             if self.kind == "truncated-gaussian" and self.sigma <= 0:
                 raise SpecError("truncated-gaussian needs sigma > 0")
+            if self.kind == "truncated-gaussian" and lo == hi:
+                # Rejection sampling would never accept a draw.
+                raise SpecError("truncated-gaussian needs lo < hi")
 
     # -- properties -------------------------------------------------------
 
@@ -126,12 +132,14 @@ class DistributionSpec:
     # -- sampling ---------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, size,
-               z_shared=None, rho: float = 0.0) -> np.ndarray:
+               z_shared=None, rho: float = 0.0, dtype=None) -> np.ndarray:
         """Draw an array of the given shape.
 
         With a shared Gaussian driver ``z_shared`` and mixing weight
         ``rho``, draws go through a Gaussian copula so that repeated calls
-        within one run are positively correlated.
+        within one run are positively correlated.  Draws are float unless
+        ``dtype`` names an integer type: a bounded-uniform-integer law
+        drawn without the copula then returns integers of that type.
         """
         if self.has_vector_atoms:
             raise SpecError("vector-atom spec sampled where scalars are expected")
@@ -140,6 +148,9 @@ class DistributionSpec:
                 * rng.standard_normal(size)
             return self._from_uniform(np.clip(ndtr(z), 1e-12, 1 - 1e-12), rng)
         if self.kind == "bounded-uniform-integer":
+            if dtype is not None:
+                return rng.integers(int(self.lo), int(self.hi), size=size,
+                                    endpoint=True, dtype=dtype)
             return rng.integers(int(self.lo), int(self.hi) + 1, size=size).astype(float)
         if self.kind == "bounded-uniform-real":
             return rng.uniform(self.lo, self.hi, size=size)
@@ -560,37 +571,60 @@ def _draw_inputs(spec: NetworkSpec, rng, n: int) -> np.ndarray:
     return rng.uniform(box[:, 0], box[:, 1], size=(n, spec.d))
 
 
-def _batch_init(spec: NetworkSpec, rng, xb: np.ndarray, z_shared):
+def _batch_init(spec: NetworkSpec, rng, xb: np.ndarray, z_shared) -> np.ndarray:
+    """Layer-0 output nu = F0(x) - G0(x) of each draw."""
     n = xb.shape[0]
     if spec.init_mode == "identity":
-        return xb.copy(), np.zeros_like(xb)
+        return xb
     rho = spec.copula_rho
-    f0 = np.empty((n, spec.d))
-    g0 = np.empty((n, spec.d))
+    z = z_shared[:, None] if z_shared is not None else None
+    nu = np.empty((n, spec.d))
     for j in range(spec.d):
         s_f, s_g = spec.coeff_specs("f")[j], spec.coeff_specs("g")[j]
         t_f, t_g = spec.exponent_specs("f")[j], spec.exponent_specs("g")[j]
-        c = s_f.sample(rng, (n, spec.r), z_shared[:, None] if z_shared is not None else None, rho)
-        c_g = s_g.sample(rng, (n, spec.r), z_shared[:, None] if z_shared is not None else None, rho)
+        c = s_f.sample(rng, (n, spec.r), z, rho)
+        c_g = s_g.sample(rng, (n, spec.r), z, rho)
         alpha = t_f.sample_exponents(rng, (n, spec.r), spec.d)
         alpha_g = t_g.sample_exponents(rng, (n, spec.r), spec.d)
-        f0[:, j] = np.max(c + np.einsum("nrd,nd->nr", alpha, xb), axis=1)
-        g0[:, j] = np.max(c_g + np.einsum("nrd,nd->nr", alpha_g, xb), axis=1)
-    return f0, g0
+        nu[:, j] = np.max(c + np.einsum("nrd,nd->nr", alpha, xb), axis=1) \
+            - np.max(c_g + np.einsum("nrd,nd->nr", alpha_g, xb), axis=1)
+    return nu
+
+
+def _batch_weight_dtype(dist: DistributionSpec):
+    """Integer dtype of batched weight draws, or None for float draws.
+
+    A bounded-uniform-integer law whose range fits int8 is drawn as int8,
+    which is cheaper to draw and to multiply; a wider one as int64.
+    """
+    if dist.kind != "bounded-uniform-integer":
+        return None
+    small = np.iinfo(np.int8)
+    return np.int8 if small.min <= dist.lo and dist.hi <= small.max else np.int64
+
+
+def _relu_step(nu: np.ndarray, a: np.ndarray, b, t) -> np.ndarray:
+    """Direct recursion nu' = max(A nu + b, t) with one A per draw.
+
+    ``a`` has shape (n, n_out, n_in) and any numeric dtype; einsum casts
+    it in buffers, so an integer ``a`` is never copied to float.
+    """
+    return np.maximum(np.einsum("nij,nj->ni", a, nu) + b, t)
 
 
 def _batch_block(spec: NetworkSpec, rng, n: int, x: np.ndarray | None):
     """Simulate ``n`` independent draws; returns per-layer nu arrays 1..L."""
     rho = spec.copula_rho
     z_shared = rng.standard_normal(n) if rho != 0.0 else None
+    zmat = z_shared[:, None, None] if z_shared is not None else None
+    zvec = z_shared[:, None] if z_shared is not None else None
     xb = np.tile(x, (n, 1)) if x is not None else _draw_inputs(spec, rng, n)
-    f, g = _batch_init(spec, rng, xb, z_shared)
+    nu = _batch_init(spec, rng, xb, z_shared)
     nus = []
     for l in range(1, spec.depth + 1):
         n_out, n_in = spec.widths[l], spec.widths[l - 1]
-        zmat = z_shared[:, None, None] if z_shared is not None else None
-        zvec = z_shared[:, None] if z_shared is not None else None
-        a = spec.weight_dist_for(l).sample(rng, (n, n_out, n_in), zmat, rho)
+        w = spec.weight_dist_for(l)
+        a = w.sample(rng, (n, n_out, n_in), zmat, rho, dtype=_batch_weight_dtype(w))
         b = spec.bias_dist_for(l).sample(rng, (n, n_out), zvec, rho)
         mode = spec.threshold_mode(l)
         if mode == "relu":
@@ -599,31 +633,44 @@ def _batch_block(spec: NetworkSpec, rng, n: int, x: np.ndarray | None):
             t = -np.inf
         else:
             t = spec.threshold_dist.sample(rng, (n, n_out), zvec, rho)
-        a_plus = np.maximum(a, 0.0)
-        a_minus = np.maximum(-a, 0.0)
-        g_next = np.einsum("nij,nj->ni", a_plus, g) + np.einsum("nij,nj->ni", a_minus, f)
-        h_next = np.einsum("nij,nj->ni", a_plus, f) + np.einsum("nij,nj->ni", a_minus, g) + b
-        f, g = np.maximum(h_next, g_next + t), g_next
-        nus.append(f - g)
+        nu = _relu_step(nu, a, b, t)
+        nus.append(nu)
     return nus
 
 
+def _simulate_block(spec: NetworkSpec, n: int, seed: int, block_index: int,
+                    x: np.ndarray | None, tag: str) -> list[np.ndarray]:
+    # What simulate_layer_outputs maps: top level so that a pool can pickle
+    # it, and not the public simulate_block, so that a caller wrapping the
+    # public functions sees each draw once.
+    return _batch_block(spec, stream(seed, tag, block_index), n, x)
+
+
+def _as_input(spec: NetworkSpec, x) -> np.ndarray | None:
+    if x is None:
+        return None
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.shape[0] != spec.d:
+        raise SpecError(f"input has dimension {x.shape[0]}, expected {spec.d}")
+    return x
+
+
 def simulate_layer_outputs(spec: NetworkSpec, n: int, seed: int,
-                           x=None, tag: str = "batch") -> list[np.ndarray]:
+                           x=None, tag: str = "batch", map=map) -> list[np.ndarray]:
     """Monte Carlo sample of nu per layer over ``n`` network draws.
 
     With ``x=None`` each draw also samples an input uniformly from the
     spec's input box; otherwise the input is held fixed.  Runs are
-    simulated in fixed-size blocks with per-block streams, so results are
-    independent of worker scheduling.
+    simulated in fixed-size blocks, block ``b`` from ``stream(seed, tag,
+    b)``.  ``map`` runs the blocks: the builtin runs them here, a process
+    pool's ``map`` runs them in its workers, with identical results.
     """
-    if x is not None:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != spec.d:
-            raise SpecError(f"input has dimension {x.shape[0]}, expected {spec.d}")
+    x = _as_input(spec, x)
+    blocks = list(block_indices(n))
+    results = map(_simulate_block, repeat(spec), [size for _, _, size in blocks],
+                  repeat(seed), [b for b, _, _ in blocks], repeat(x), repeat(tag))
     outs = [np.empty((n, spec.widths[l])) for l in range(1, spec.depth + 1)]
-    for b, start, size in block_indices(n):
-        block = _batch_block(spec, stream(seed, tag, b), size, x)
+    for (_, start, size), block in zip(blocks, results):
         for l, arr in enumerate(block):
             outs[l][start:start + size] = arr
     return outs
@@ -631,10 +678,8 @@ def simulate_layer_outputs(spec: NetworkSpec, n: int, seed: int,
 
 def simulate_block(spec: NetworkSpec, n: int, seed: int, block_index: int,
                    x=None, tag: str = "batch") -> list[np.ndarray]:
-    """One block of ``simulate_layer_outputs``; used by worker pools."""
-    if x is not None:
-        x = np.asarray(x, dtype=float).reshape(-1)
-    return _batch_block(spec, stream(seed, tag, block_index), n, x)
+    """Block ``block_index`` (of ``n`` draws) of ``simulate_layer_outputs``."""
+    return _simulate_block(spec, n, seed, block_index, _as_input(spec, x), tag)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,17 @@ def stream(master_seed: int, tag: str, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def item_seed(master_seed: int, tag: str, index: int) -> int:
+    """128-bit master seed of item ``index`` of a run keyed by (master_seed, tag).
+
+    Items that draw whole batches of their own (one classifier input, say)
+    take this seed instead of arithmetic on the run seed, which makes item
+    ``i`` of seed ``s`` reuse item ``i - 1`` of seed ``s + 1``.
+    """
+    ss = np.random.SeedSequence(int(master_seed), spawn_key=(tag_key(tag), int(index)))
+    return int.from_bytes(ss.generate_state(4).tobytes(), "little")
+
+
 def block_indices(n: int, block_size: int = BLOCK_SIZE):
     """Yield (block_index, start, size) covering ``n`` items."""
     b = 0

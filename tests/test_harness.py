@@ -1,5 +1,6 @@
 """Config validation, subcommand artifacts, exit codes, reproducibility."""
 
+import concurrent.futures
 import json
 
 import numpy as np
@@ -54,6 +55,13 @@ class TestConfigValidation:
     def test_workers_validated(self):
         with pytest.raises(ConfigError, match="config.workers"):
             parse_config("simulate", {"network": network_dict(), "workers": 0})
+
+    def test_zero_width_truncated_gaussian_is_a_config_error(self):
+        bad = network_dict()
+        bad["bias_dist"] = {"kind": "truncated-gaussian", "lo": 0.5, "hi": 0.5,
+                            "mu": 0.0, "sigma": 1.0}
+        with pytest.raises(ConfigError, match="config.network"):
+            parse_config("bounds", {"network": bad})
 
     def test_classify_needs_inputs(self):
         with pytest.raises(ConfigError, match="config.classify.inputs"):
@@ -115,6 +123,55 @@ class TestSubcommands:
         code, files = run_subcommand("mgale-check", cfg, out_dir=tmp_path)
         assert code == EXIT_OK
         assert "walk_reports.csv" in files
+
+    def test_bounds_starts_one_pool(self, tmp_path, monkeypatch):
+        starts = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        cfg = parse_config("bounds", {"seed": 2, "workers": 2, "network": network_dict(),
+                                      "bounds": {"n": 20_000, "t_grid": [0.0, 5.0]}})
+        code, _ = run_subcommand("bounds", cfg, out_dir=tmp_path)
+        assert code == EXIT_OK
+        assert starts == [2]
+
+    def test_manifest_lists_only_this_run(self, tmp_path):
+        sim = parse_config("simulate", {"network": network_dict(), "simulate": {"n": 2}})
+        run_subcommand("simulate", sim, out_dir=tmp_path)
+        sel = parse_config("select-layers", {"select_layers": {
+            "method": "deterministic", "gamma": [1.0, 3.0, 2.0]}})
+        _, files = run_subcommand("select-layers", sel, out_dir=tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(files) == set(manifest["files"]) == {"selection.json", "envelope.csv"}
+
+
+class TestClassifySeeding:
+    @staticmethod
+    def _audit(tmp_path, seed, inputs, workers=1):
+        cfg = parse_config("classify", {
+            "seed": seed, "workers": workers,
+            "network": network_dict(widths=(2, 3, 1), last_identity=True),
+            "classify": {"n": 2000, "inputs": inputs}})
+        out = tmp_path / f"s{seed}-{len(inputs)}-w{workers}"
+        run_subcommand("classify", cfg, out_dir=out)
+        return (out / "audit.csv").read_text().splitlines()[1:]
+
+    def test_inputs_of_adjacent_seeds_draw_apart(self, tmp_path):
+        x = [0.2, -0.4]
+        seed0 = self._audit(tmp_path, 0, [x, x])
+        seed1 = self._audit(tmp_path, 1, [x])
+        estimate = lambda row: row.split(",")[1]
+        assert estimate(seed0[1]) != estimate(seed1[0])
+        assert estimate(seed0[0]) != estimate(seed0[1])
+
+    def test_worker_count_does_not_change_audit(self, tmp_path):
+        inputs = [[0.2, -0.4], [0.8, 0.8], [-0.5, 0.1]]
+        assert self._audit(tmp_path, 3, inputs) == \
+            self._audit(tmp_path, 3, inputs, workers=2)
 
 
 class TestExitCodes:

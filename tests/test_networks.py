@@ -8,6 +8,8 @@ from tropnet.networks import (
     LayerSample,
     NetworkSpec,
     SpecError,
+    _batch_weight_dtype,
+    _relu_step,
     degenerate,
     forward_fg,
     forward_relu_direct,
@@ -21,11 +23,12 @@ from tropnet.networks import (
     sample_init,
     sample_layer,
     sample_network,
+    simulate_block,
     simulate_layer_outputs,
     uniform_int,
     uniform_real,
 )
-from tropnet.seeding import stream
+from tropnet.seeding import BLOCK_SIZE, stream
 from tropnet.tropical import MonomialCapError, count_linear_regions
 
 
@@ -51,6 +54,19 @@ class TestDistributionSpec:
         spec = DistributionSpec("truncated-gaussian", lo=-0.5, hi=0.5, mu=0.0, sigma=2.0)
         draws = spec.sample(stream(0, "t"), 5000)
         assert draws.min() >= -0.5 and draws.max() <= 0.5
+
+    def test_zero_width_truncated_gaussian_rejected(self):
+        # Rejection sampling could never accept a draw from [0.3, 0.3].
+        with pytest.raises(SpecError, match="lo < hi"):
+            DistributionSpec("truncated-gaussian", lo=0.3, hi=0.3, mu=0.0, sigma=1.0)
+
+    def test_integer_draws_in_requested_dtype(self):
+        spec = uniform_int(-2, 2)
+        draws = spec.sample(stream(0, "t"), (50, 4), dtype=np.int8)
+        assert draws.dtype == np.int8
+        assert draws.min() >= -2 and draws.max() <= 2
+        wide = spec.sample(stream(0, "t"), (50, 4), dtype=np.int64)
+        np.testing.assert_array_equal(wide, spec.sample(stream(0, "t"), (50, 4)))
 
     def test_finite_support_probs_validated(self):
         with pytest.raises(SpecError):
@@ -295,6 +311,43 @@ class TestBatchedSimulation:
         intervals = propagate_intervals(spec)
         for l in range(1, spec.depth + 1):
             assert np.linalg.norm(outs[l - 1], axis=1).max() <= intervals[l].xi
+
+
+    def test_direct_block_step_matches_pair_step(self):
+        rng = np.random.default_rng(3)
+        n, n_in, n_out = 200, 7, 5
+        a = rng.integers(-3, 4, size=(n, n_out, n_in)).astype(np.int8)
+        b = rng.uniform(-1, 1, size=(n, n_out))
+        f = rng.uniform(-2, 2, size=(n, n_in))
+        g = rng.uniform(-2, 2, size=(n, n_in))
+        t = rng.uniform(-1, 1, size=(n, n_out))
+        direct = _relu_step(f - g, a, b, t)
+        for k in range(n):
+            layer = LayerSample.from_weights(a[k], b[k], t[k])
+            f_next, g_next, _ = forward_fg(f[k], g[k], layer)
+            np.testing.assert_allclose(direct[k], f_next - g_next, rtol=1e-12, atol=1e-12)
+
+    def test_weight_dtype_follows_the_law(self):
+        assert _batch_weight_dtype(uniform_int(-2, 2)) is np.int8
+        assert _batch_weight_dtype(uniform_int(-128, 127)) is np.int8
+        assert _batch_weight_dtype(uniform_int(-300, 300)) is np.int64
+        assert _batch_weight_dtype(degenerate(1.0)) is None
+
+    def test_wide_integer_law_stays_in_certificate(self):
+        spec = small_spec(widths=(2, 4, 4), wlo=-300, whi=300)
+        intervals = propagate_intervals(spec)
+        outs = simulate_layer_outputs(spec, 3000, seed=4)
+        for l in range(1, spec.depth + 1):
+            assert np.linalg.norm(outs[l - 1], axis=1).max() <= intervals[l].xi
+
+    def test_blocks_assemble_the_batch(self):
+        spec = small_spec()
+        n = BLOCK_SIZE + 100
+        outs = simulate_layer_outputs(spec, n, seed=9, tag="t")
+        first = simulate_block(spec, BLOCK_SIZE, 9, 0, tag="t")
+        last = simulate_block(spec, 100, 9, 1, tag="t")
+        for l in range(spec.depth):
+            np.testing.assert_array_equal(outs[l], np.vstack([first[l], last[l]]))
 
 
 class TestIntervals:
