@@ -58,15 +58,18 @@ print("\ncombined poly has", combined.num_monomials, "monomials")
 print("symbolic eval:", eval_polynomial(combined, x), " direct:", direct)
 
 # --- linear regions --------------------------------------------------------
-# Count cells where a single monomial dominates: exact (one LP per
-# monomial) versus a dense-grid argmax scan.
+# Count cells where a single monomial dominates: upper-hull vertices of
+# the lifted points (alpha, c), one LP per monomial, and a dense-grid
+# argmax scan.
 three_planes = TropicalPolynomial([
     TropicalMonomial(TropicalValue(0.0), (1, 0)),
     TropicalMonomial(TropicalValue(0.0), (0, 1)),
     TropicalMonomial(TropicalValue(0.0), (0, 0)),
 ])
 print("\nmax(x1, x2, 0):")
-print("  exact-lp    ->", count_linear_regions(three_planes).count, "regions")
+print("  hull        ->", count_linear_regions(three_planes).count, "regions")
+print("  exact-lp    ->",
+      count_linear_regions(three_planes, method="exact-lp").count, "regions")
 print("  grid-oracle ->",
       count_linear_regions(three_planes, method="grid-oracle").count, "regions")
 

@@ -47,6 +47,9 @@ class SpecError(ValueError):
 
 _KINDS = ("bounded-uniform-integer", "bounded-uniform-real",
           "truncated-gaussian", "finite-support")
+#: A truncated Gaussian whose window holds less normal mass than this is
+#: drawn by inverse CDF; rejection would need over 20 normals per value.
+MIN_REJECTION_MASS = 0.05
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,9 @@ class DistributionSpec:
     """A bounded scalar (or atom-vector) distribution.
 
     All kinds are bounded by construction; unbounded bases must be
-    truncated into [lo, hi] before use (truncation is by rejection, not
-    clipping, so no boundary atoms are introduced).
+    truncated into [lo, hi] before use (truncation is by rejection, or by
+    inverse CDF when the window holds little mass, never by clipping, so no
+    boundary atoms are introduced).
     """
 
     kind: str
@@ -98,8 +102,10 @@ class DistributionSpec:
             if self.kind == "truncated-gaussian" and self.sigma <= 0:
                 raise SpecError("truncated-gaussian needs sigma > 0")
             if self.kind == "truncated-gaussian" and lo == hi:
-                # Rejection sampling would never accept a draw.
                 raise SpecError("truncated-gaussian needs lo < hi")
+            if self.kind == "truncated-gaussian" and self.window_mass == 0.0:
+                raise SpecError(f"truncated-gaussian window [{lo}, {hi}] has no "
+                                f"normal mass in double precision")
 
     # -- properties -------------------------------------------------------
 
@@ -119,6 +125,13 @@ class DistributionSpec:
     def has_vector_atoms(self) -> bool:
         return (self.kind == "finite-support"
                 and any(isinstance(v, tuple) for v in self.values))
+
+    @property
+    def window_mass(self) -> float:
+        """P(lo <= N(mu, sigma^2) <= hi), taken in the nearer tail."""
+        a = (self.lo - self.mu) / self.sigma
+        b = (self.hi - self.mu) / self.sigma
+        return float(ndtr(-a) - ndtr(-b) if a > 0 else ndtr(b) - ndtr(a))
 
     def bound_interval(self, dim: int | None = None):
         """Elementwise (lo, hi) arrays; per coordinate for vector atoms."""
@@ -155,6 +168,8 @@ class DistributionSpec:
         if self.kind == "bounded-uniform-real":
             return rng.uniform(self.lo, self.hi, size=size)
         if self.kind == "truncated-gaussian":
+            if self.window_mass < MIN_REJECTION_MASS:
+                return self._from_uniform(rng.uniform(size=size), rng)
             return self._rejection_truncnorm(rng, size)
         idx = rng.choice(len(self.values), size=size, p=np.asarray(self.probs))
         return np.asarray(self.values, dtype=float)[idx]

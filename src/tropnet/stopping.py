@@ -490,8 +490,8 @@ def _fit_continuation(x: np.ndarray, y: np.ndarray, degree: int):
         deg = rank - 1
 
 
-def backward_induction_lsmc(trajectories: np.ndarray, basis_degree: int = 3,
-                            eps_stop: float = 1e-3) -> StoppingSolution:
+def backward_induction_lsmc(trajectories: np.ndarray,
+                            basis_degree: int = 3) -> StoppingSolution:
     """Regression-based envelope on simulated utility trajectories.
 
     The continuation value E[S_{L+1} | history] is approximated by a
@@ -603,7 +603,7 @@ def select_layers(method: str, *, gamma=None, process: FiniteSupportProcess = No
                   network_spec: NetworkSpec = None, gamma_spec: GammaSpec = None,
                   y_star=None, n_trajectories: int = 10_000,
                   basis_degree: int = 3, seed: int = 0,
-                  eps_stop: float | None = None) -> StoppingSolution:
+                  eps_stop: float = 1e-9) -> StoppingSolution:
     """Select the network depth by the chosen induction method.
 
     * "deterministic": ``gamma`` is the realized utility sequence; the
@@ -612,14 +612,16 @@ def select_layers(method: str, *, gamma=None, process: FiniteSupportProcess = No
     * "lsmc": least-squares Monte Carlo on ``gamma`` given as an
       (n, horizon) trajectory array, or on trajectories simulated from
       ``network_spec`` with common random numbers across depths.
+
+    ``eps_stop`` is the relative tolerance of the stop rule S_L = gamma_L
+    of the deterministic and exact methods.
     """
     if method == "deterministic":
         g = np.asarray(gamma, dtype=float).reshape(-1)
         if not np.all(np.isfinite(g)):
             raise StoppingError("utilities must be finite (integrability)")
         snell = np.maximum.accumulate(g[::-1])[::-1]
-        eps = 1e-9 if eps_stop is None else eps_stop
-        tau = stopping_time(g, snell, eps)
+        tau = stopping_time(g, snell, eps_stop)
         return StoppingSolution(
             method="deterministic",
             value=float(snell[0]),
@@ -631,8 +633,7 @@ def select_layers(method: str, *, gamma=None, process: FiniteSupportProcess = No
     if method == "exact":
         if process is None:
             raise StoppingError("exact induction needs a finite-support process")
-        return backward_induction_exact(process,
-                                        1e-9 if eps_stop is None else eps_stop)
+        return backward_induction_exact(process, eps_stop)
     if method == "lsmc":
         extras = {}
         if gamma is not None:
@@ -656,8 +657,7 @@ def select_layers(method: str, *, gamma=None, process: FiniteSupportProcess = No
                     tau=depth, extras={"perfect_fit": True})
             monotone = np.all(np.diff(losses, axis=1) <= 0, axis=1)
             extras["loss_monotone_fraction"] = float(monotone.mean())
-        sol = backward_induction_lsmc(traj, basis_degree,
-                                      1e-3 if eps_stop is None else eps_stop)
+        sol = backward_induction_lsmc(traj, basis_degree)
         sol.extras.update(extras)
         return sol
     raise StoppingError(f"unknown method {method!r}")

@@ -10,6 +10,12 @@ c + alpha · x with nonnegative integer slope vectors alpha; distinct
 monomials always carry distinct slope vectors.  Tropical rational
 functions are differences f - g of two polynomials and are exactly the
 piecewise-linear functions this package cares about.
+
+The linear regions of a polynomial, and the monomials that pruning keeps,
+are the vertices of the upper convex hull of the lifted points
+(alpha_i, c_i) (Zhang, Naitzat & Lim, ICML 2018), found with one Qhull
+call.  The per-monomial dominance LP and the grid argmax are kept as
+oracles for that count.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, QhullError
 
 
 class TropicalError(ValueError):
@@ -373,6 +380,10 @@ def poly_weighted_combine(polys: Sequence[TropicalPolynomial],
 DELTA_TOL = 1e-7
 #: The dominance LP maximizes the slack delta capped at this value.
 DELTA_CAP = 1.0
+#: Roundoff floor of the hull tests, well below DELTA_TOL: the relative
+#: rank of the exponents, the flatness of c (times max(1, |c|)), the c part
+#: of an upper facet's unit normal, and the spread of a vertex's normals.
+HULL_TOL = 1e-9
 #: Default grid-oracle box and step (sound for d <= 2 at this resolution).
 GRID_BOX = (-10.0, 10.0)
 GRID_STEP = 0.05
@@ -383,7 +394,7 @@ class RegionCount:
     """Number of linear regions of a tropical polynomial."""
 
     count: int
-    method: str  # "exact-lp" | "grid-oracle"
+    method: str  # "hull" | "exact-lp" | "grid-oracle"
     dim: int
 
     def __post_init__(self):
@@ -420,16 +431,77 @@ def _dominance_slack(alpha: np.ndarray, coeff: np.ndarray, i: int) -> float:
     return -res.fun
 
 
+def _lp_maximal(alpha: np.ndarray, coeff: np.ndarray) -> list[int]:
+    """Monomials with a full-dimensional dominance cell, one LP each."""
+    return [i for i in range(len(coeff))
+            if _dominance_slack(alpha, coeff, i) > DELTA_TOL]
+
+
+def _hull_vertices(points: np.ndarray, upper: bool = False) -> list[int]:
+    """Vertices of conv(points), only those on an upper facet if ``upper``.
+
+    Qhull may leave a point that lies on a face up to roundoff as a vertex
+    between two nearly coplanar facets.  A true vertex has a normal cone of
+    full dimension, so a point is kept only if the unit normals of the
+    facets around it span the space with singular values above HULL_TOL.
+    """
+    hull = ConvexHull(points)
+    normals = hull.equations[:, :-1]
+    faces = hull.simplices[normals[:, -1] > HULL_TOL] if upper else hull.simplices
+    dim = points.shape[1]
+    keep = []
+    for v in np.unique(faces):
+        sv = np.linalg.svd(normals[(hull.simplices == v).any(axis=1)],
+                           compute_uv=False)
+        if len(sv) == dim and sv[-1] > HULL_TOL:
+            keep.append(int(v))
+    return keep
+
+
+def _hull_maximal(alpha: np.ndarray, coeff: np.ndarray) -> list[int]:
+    """Monomials strictly maximal somewhere: upper-hull vertices of (alpha, c).
+
+    Monomial i wins on an open set iff (alpha_i, c_i) is exposed by a
+    direction (x, 1), i.e. is a vertex of the upper hull.  The exponents
+    are first reduced to their affine hull (rank k).  If c is affine in
+    them the lifted hull is flat and every vertex of conv(alpha) wins;
+    otherwise the upper facets of the (k+1)-dimensional hull give the
+    vertices.  Falls back to the dominance LP only when Qhull fails.
+
+    The result equals the LP's except for a point that is within a
+    tolerance of not being a vertex: its height above the upper hull of
+    the others lies between roundoff and DELTA_TOL, or its normal cone is
+    thinner than HULL_TOL.
+    """
+    if len(coeff) == 1:
+        return [0]
+    a = alpha - alpha.mean(axis=0)
+    _, sv, vt = np.linalg.svd(a, full_matrices=False)
+    t = a @ vt[:int(np.sum(sv > HULL_TOL * sv[0]))].T
+    c = coeff - coeff.mean()
+    # Shear c by its affine fit on t: upper-hull vertices are unchanged.
+    c = c - t @ np.linalg.lstsq(t, c, rcond=None)[0]
+    height = np.abs(c).max()
+    try:
+        if height > HULL_TOL * max(1.0, np.abs(coeff).max()):
+            return _hull_vertices(np.column_stack([t, c / height]), upper=True)
+        if t.shape[1] == 1:
+            return sorted({int(np.argmin(t)), int(np.argmax(t))})
+        return _hull_vertices(t)
+    except QhullError:
+        return _lp_maximal(alpha, coeff)
+
+
 def prune_redundant_monomials(f: TropicalPolynomial) -> TropicalPolynomial:
     """Drop monomials that are nowhere strictly maximal.
 
     A monomial whose dominance cell is not full-dimensional is attained,
     where attained at all, only on ties with other monomials, so deleting
-    it leaves the function unchanged.
+    it leaves the function unchanged.  The kept monomials are the
+    upper-hull vertices of the lifted points.
     """
     alpha, coeff = _finite_parts(f)
-    keep = [i for i in range(len(coeff))
-            if _dominance_slack(alpha, coeff, i) > DELTA_TOL]
+    keep = _hull_maximal(alpha, coeff)
     if not keep:
         # All cells tie away; keep the largest-coefficient monomial.
         keep = [int(np.argmax(coeff))]
@@ -448,29 +520,31 @@ def _grid_points(dim: int, box: tuple[float, float], step: float) -> np.ndarray:
     return np.column_stack([g.ravel() for g in grids])
 
 
-def count_linear_regions(f: TropicalPolynomial, method: str = "exact-lp",
+def count_linear_regions(f: TropicalPolynomial, method: str = "hull",
                          box: tuple[float, float] = GRID_BOX,
                          step: float = GRID_STEP) -> RegionCount:
     """Count maximal connected subsets of R^d on which ``f`` is affine.
 
-    "exact-lp" counts monomials whose strict-dominance cell is
-    full-dimensional (slack LP per monomial).  "grid-oracle" counts
-    distinct argmax indices over a dense grid on ``box``; it is a sound
-    lower bound on the true count and serves as a cross-check.
+    "hull" counts the upper-hull vertices of the lifted points
+    (alpha_i, c_i).  "exact-lp" counts monomials whose strict-dominance
+    cell is full-dimensional (slack LP per monomial); it is the oracle for
+    "hull".  "grid-oracle" counts distinct argmax indices over a dense
+    grid on ``box``; it is a sound lower bound on the true count and
+    serves as a cross-check.
     """
     alpha, coeff = _finite_parts(f)
-    if method == "exact-lp":
-        n = sum(1 for i in range(len(coeff))
-                if _dominance_slack(alpha, coeff, i) > DELTA_TOL)
-        return RegionCount(count=max(n, 1), method="exact-lp", dim=f.dim)
+    if method in ("hull", "exact-lp"):
+        maximal = _hull_maximal if method == "hull" else _lp_maximal
+        n = len(maximal(alpha, coeff))
+        return RegionCount(count=max(n, 1), method=method, dim=f.dim)
     if method == "grid-oracle":
         points = _grid_points(f.dim, box, step)
-        winners: set[int] = set()
+        won = np.zeros(len(coeff), dtype=bool)
         for start in range(0, len(points), 65536):
-            chunk = points[start:start + 65536]
-            vals = chunk @ alpha.T + coeff
-            winners.update(np.unique(np.argmax(vals, axis=1)).tolist())
-        return RegionCount(count=len(winners), method="grid-oracle", dim=f.dim)
+            vals = points[start:start + 65536] @ alpha.T
+            vals += coeff
+            won[np.argmax(vals, axis=1)] = True
+        return RegionCount(count=int(won.sum()), method="grid-oracle", dim=f.dim)
     raise TropicalError(f"unknown region-count method {method!r}")
 
 

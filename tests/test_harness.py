@@ -63,6 +63,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="config.network"):
             parse_config("bounds", {"network": bad})
 
+    def test_underflowing_truncated_gaussian_is_a_config_error(self):
+        bad = network_dict()
+        bad["bias_dist"] = {"kind": "truncated-gaussian", "lo": 40.0, "hi": 41.0,
+                            "mu": 0.0, "sigma": 1.0}
+        with pytest.raises(ConfigError, match="config.network"):
+            parse_config("bounds", {"network": bad})
+
     def test_classify_needs_inputs(self):
         with pytest.raises(ConfigError, match="config.classify.inputs"):
             parse_config("classify", {"network": network_dict(), "classify": {}})

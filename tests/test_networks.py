@@ -1,7 +1,15 @@
 """Sampling, forward recursions, the symbolic pass, and interval bounds."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.stats import truncnorm
+
+import tropnet
 
 from tropnet.networks import (
     DistributionSpec,
@@ -17,6 +25,7 @@ from tropnet.networks import (
     network_spec_from_dict,
     network_spec_to_dict,
     propagate_intervals,
+    reference_classifier_spec,
     reference_spec,
     run_network,
     run_symbolic,
@@ -59,6 +68,40 @@ class TestDistributionSpec:
         # Rejection sampling could never accept a draw from [0.3, 0.3].
         with pytest.raises(SpecError, match="lo < hi"):
             DistributionSpec("truncated-gaussian", lo=0.3, hi=0.3, mu=0.0, sigma=1.0)
+
+    def test_far_tail_truncated_gaussian_draws_finish(self):
+        # Rejection would need ~1e15 normals per value; run in a child so a
+        # hang fails the test instead of stalling the suite.
+        code = ("import numpy as np\n"
+                "from tropnet.networks import DistributionSpec\n"
+                "spec = DistributionSpec('truncated-gaussian', lo=8, hi=9, mu=0, sigma=1)\n"
+                "x = spec.sample(np.random.default_rng(0), 10)\n"
+                "assert x.shape == (10,) and x.min() >= 8 and x.max() <= 9, x\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(tropnet.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    def test_low_mass_window_draws_by_inverse_cdf(self):
+        spec = DistributionSpec("truncated-gaussian", lo=2.0, hi=3.0, mu=0.0, sigma=0.5)
+        assert spec.window_mass < 1e-4
+        draws = spec.sample(stream(0, "t"), 20000)
+        assert draws.min() >= 2.0 and draws.max() <= 3.0
+        assert abs(draws.mean() - truncnorm.mean(4.0, 6.0, scale=0.5)) < 0.01
+
+    def test_high_mass_window_keeps_the_rejection_stream(self):
+        spec = DistributionSpec("truncated-gaussian", lo=-1.0, hi=2.0, mu=0.5, sigma=1.5)
+        rng = stream(3, "t")
+        expected = rng.normal(0.5, 1.5, size=200)
+        bad = (expected < -1.0) | (expected > 2.0)
+        while bad.any():
+            expected[bad] = rng.normal(0.5, 1.5, size=int(bad.sum()))
+            bad = (expected < -1.0) | (expected > 2.0)
+        np.testing.assert_array_equal(spec.sample(stream(3, "t"), 200), expected)
+
+    def test_underflowing_window_rejected(self):
+        with pytest.raises(SpecError, match="no normal mass"):
+            DistributionSpec("truncated-gaussian", lo=40.0, hi=41.0, mu=0.0, sigma=1.0)
+        with pytest.raises(SpecError, match="no normal mass"):
+            DistributionSpec("truncated-gaussian", lo=-41.0, hi=-40.0, mu=0.0, sigma=1.0)
 
     def test_integer_draws_in_requested_dtype(self):
         spec = uniform_int(-2, 2)
@@ -271,6 +314,31 @@ class TestRunSymbolic:
                 for l in range(spec.depth + 1):
                     np.testing.assert_allclose(sym.evaluate_nu(l, x), run.nu[l],
                                                atol=1e-9)
+
+    def test_hull_count_equals_lp_on_test_09_networks(self):
+        spec = NetworkSpec(widths=(2, 2, 1), r=2, weight_dist=uniform_int(-1, 1),
+                           bias_dist=uniform_real(-1.0, 1.0),
+                           coeff_dists=uniform_real(-1.0, 1.0),
+                           exponent_dists=uniform_int(0, 2),
+                           thresholds=("relu", "identity"),
+                           input_box=((-1.0, 1.0), (-1.0, 1.0)))
+        for i in range(200):
+            f = run_symbolic(spec, seed=31_000 + i).f_polys[-1][0]
+            assert (count_linear_regions(f).count
+                    == count_linear_regions(f, method="exact-lp").count), i
+
+    def test_reference_classifier_symbolic_pass_matches_direct(self):
+        # Pruning happens at the cap here; seed 2 runs in about 2 s.
+        spec = reference_classifier_spec()
+        sym = run_symbolic(spec, seed=2)
+        rng = np.random.default_rng(16)
+        box = np.asarray(spec.input_box)
+        for x in rng.uniform(box[:, 0], box[:, 1], size=(10, spec.d)):
+            nu = sym.evaluate_nu(0, x)
+            for l, layer in enumerate(sym.layers, start=1):
+                nu = forward_relu_direct(nu, layer)
+                np.testing.assert_allclose(sym.evaluate_nu(l, x), nu,
+                                           rtol=1e-9, atol=1e-9)
 
     def test_cap_exceeded_raises(self):
         spec = small_spec(widths=(2, 6, 6, 6), r=3, wlo=-3, whi=3)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropnet.tropical import (
     BOTTOM,
@@ -26,6 +28,7 @@ from tropnet.tropical import (
     trop_mul,
     trop_pow,
 )
+from tropnet.tropical import _finite_parts, _grid_points, _hull_maximal, _lp_maximal
 
 
 def mono(c, alpha):
@@ -252,6 +255,100 @@ class TestRegions:
         # The middle slope ties with its neighbours only at x = 0.
         f = poly((0.0, (0,)), (0.0, (1,)), (0.0, (2,)))
         assert count_linear_regions(f, method="exact-lp").count == 2
+
+
+@st.composite
+def lifted_points(draw):
+    """Exponents and coefficients from one of seven families.
+
+    Coefficients lie on a 1/64 grid, possibly plus a real affine
+    function of the exponents, so each lifted point lies on the upper hull
+    of the others up to roundoff or a clear distance from it; heights
+    inside (roundoff, DELTA_TOL] are where the hull and the LP may differ.
+    """
+    d = draw(st.integers(1, 3))
+    family = draw(st.sampled_from(["random", "one", "two", "collinear", "affine",
+                                   "integer-ties", "rounded-ties"]))
+    r = {"one": 1, "two": 2}.get(family, draw(st.integers(3, 10)))
+    point = st.tuples(*[st.integers(0, 3)] * d)
+    if family == "collinear":
+        direction = np.array(draw(point.filter(any)))
+        base = np.array(draw(point))
+        steps = draw(st.lists(st.integers(0, 6), min_size=min(r, 7),
+                              max_size=min(r, 7), unique=True))
+        alpha = np.array([base + k * direction for k in steps], dtype=float)
+    else:
+        alpha = np.array(draw(st.lists(point, min_size=min(r, 4 ** d),
+                                       max_size=min(r, 4 ** d), unique=True)),
+                         dtype=float)
+    r = len(alpha)
+    if family in ("affine", "rounded-ties"):
+        w = np.array(draw(st.lists(st.floats(-8, 8), min_size=d, max_size=d)))
+        coeff = alpha @ w + draw(st.floats(-8, 8))
+        if family == "rounded-ties":
+            # Small bumps on some points; the rest tie on facets up to
+            # roundoff, which the shear by the affine part magnifies.
+            coeff += np.array(draw(st.lists(st.integers(-2, 2), min_size=r,
+                                            max_size=r)), dtype=float) / 64
+    elif family == "integer-ties":
+        coeff = np.array(draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r)),
+                         dtype=float)
+    else:
+        coeff = np.array(draw(st.lists(st.integers(-192, 192), min_size=r,
+                                       max_size=r)), dtype=float) / 64
+    return alpha, coeff
+
+
+def lp_prune(f):
+    alpha, coeff = _finite_parts(f)
+    return poly(*[(coeff[i], alpha[i].astype(int)) for i in _lp_maximal(alpha, coeff)])
+
+
+class TestUpperHull:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lifted_points())
+    def test_hull_keeps_exactly_the_lp_set(self, points):
+        alpha, coeff = points
+        assert sorted(_hull_maximal(alpha, coeff)) == _lp_maximal(alpha, coeff)
+
+    def test_point_on_a_segment_up_to_roundoff_is_not_a_vertex(self):
+        # A symbolic-network output: points 0, 1, 2 are collinear in the
+        # lift up to roundoff, so monomial 1 wins nowhere.
+        alpha = np.array([[64.0, 28.0], [64.0, 30.0], [64.0, 32.0], [64.0, 34.0]])
+        coeff = np.array([-3.655606900049047, -5.969615457253832,
+                          -8.283624014458619, -10.625864689728616])
+        assert _hull_maximal(alpha, coeff) == _lp_maximal(alpha, coeff) == [0, 2, 3]
+
+    def test_prune_equals_lp_prune(self):
+        rng = np.random.default_rng(14)
+        for _ in range(60):
+            d = int(rng.integers(1, 4))
+            f = random_poly(rng, d, int(rng.integers(1, 12)), exp_hi=3)
+            assert prune_redundant_monomials(f) == lp_prune(f)
+
+    def test_default_method_is_hull(self):
+        f = poly((0.0, (0,)), (0.0, (1,)), (0.0, (2,)))
+        assert count_linear_regions(f) == count_linear_regions(f, method="hull")
+        assert count_linear_regions(f).method == "hull"
+        assert count_linear_regions(f).count == 2
+
+    def test_flat_lift_counts_vertices_of_the_exponent_hull(self):
+        # c = alpha_1 - alpha_2 + 1: every corner of the 3x3 square wins.
+        f = poly(*[(1.0 + a - b, (a, b)) for a in range(3) for b in range(3)])
+        assert count_linear_regions(f).count == 4
+        assert count_linear_regions(f, method="exact-lp").count == 4
+
+    def test_grid_oracle_matches_unique_argmax_formula(self):
+        rng = np.random.default_rng(15)
+        for _ in range(30):
+            f = random_poly(rng, int(rng.integers(1, 3)), int(rng.integers(1, 8)))
+            alpha, coeff = _finite_parts(f)
+            points = _grid_points(f.dim, (-10.0, 10.0), 0.05)
+            winners = set()
+            for start in range(0, len(points), 65536):
+                vals = points[start:start + 65536] @ alpha.T + coeff
+                winners.update(np.unique(np.argmax(vals, axis=1)).tolist())
+            assert count_linear_regions(f, method="grid-oracle").count == len(winners)
 
 
 class TestSerialization:
