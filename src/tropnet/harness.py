@@ -28,10 +28,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    BoundReport,
-    estimate_tail,
     martingale_grade_check,
-    mgale_bound,
     region_count_concentration,
     reports_to_csv,
     reports_to_json,
@@ -243,7 +240,8 @@ class RunManifest:
 
     def write(self, out_dir: Path):
         with open(out_dir / "manifest.json", "w") as fh:
-            json.dump(dataclasses.asdict(self), fh, sort_keys=True, indent=1)
+            json.dump(dataclasses.asdict(self), fh, sort_keys=True, indent=1,
+                      allow_nan=False)
 
 
 class _OutDir:
@@ -322,7 +320,7 @@ def _run_simulate(cfg: ExperimentConfig, out: _OutDir) -> int:
                                 repr(float(run.nu[l][u]))])
     with open(out / "runs.json", "w") as fh:
         json.dump([dict(run=i, **run.to_dict()) for i, run in runs],
-                  fh, sort_keys=True)
+                  fh, sort_keys=True, allow_nan=False)
     return EXIT_OK
 
 
@@ -394,7 +392,7 @@ def _run_select_layers(cfg: ExperimentConfig, out: _OutDir) -> int:
                                   dtype=float),
                 n_trajectories=opts.get("n_trajectories", 10_000), **kwargs)
     with open(out / "selection.json", "w") as fh:
-        json.dump(sol.to_dict(), fh, sort_keys=True)
+        json.dump(sol.to_dict(), fh, sort_keys=True, allow_nan=False)
     with open(out / "envelope.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["L", "snell"])
@@ -423,7 +421,7 @@ def _run_regions(cfg: ExperimentConfig, out: _OutDir) -> int:
             w.writerow(["grid-oracle", grid.count, grid.dim])
         with open(out / "regions.json", "w") as fh:
             json.dump({"exact_lp": exact.count, "grid_oracle": grid.count,
-                       "dim": exact.dim}, fh, sort_keys=True)
+                       "dim": exact.dim}, fh, sort_keys=True, allow_nan=False)
     else:
         sample = opts["sample"]
         count = int(sample.get("count", 100))
@@ -483,17 +481,8 @@ def _run_mgale_check(cfg: ExperimentConfig, out: _OutDir) -> int:
         traj = np.concatenate([zeros, centered], axis=1)
         grade = martingale_grade_check(traj, seed=cfg.seed)
         _write_grade(grade, out)
-        m = grade.increment_bound
-        reports = []
-        center = np.zeros(nus.shape[2])
-        for l in range(1, nus.shape[1] + 1):
-            for a in opts.get("a_grid", [1.0, 2.0, 4.0]):
-                p_hat, se = estimate_tail(centered[:, l - 1], center, m * float(a))
-                reports.append(BoundReport(kind="martingale", layer=l,
-                                           t=m * float(a),
-                                           analytic=mgale_bound(float(a), m, l),
-                                           empirical=p_hat, se=se, n=n,
-                                           params=(m, l)))
+        reports = walk_tail_reports(traj, opts.get("a_grid", [1.0, 2.0, 4.0]),
+                                    m=grade.increment_bound)
         reports_to_csv(reports, out / "mgale_reports.csv")
         if any(r.verdict == "violated" for r in reports):
             code = EXIT_VIOLATION
@@ -508,7 +497,7 @@ def _write_grade(grade, out: _OutDir):
             "worst_pair": list(grade.worst_pair),
             "worst_function": grade.worst_function,
             "increment_bound": grade.increment_bound,
-        }, fh, sort_keys=True)
+        }, fh, sort_keys=True, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,6 @@ interval-arithmetic certificate bounds the layer output norms.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -402,20 +400,6 @@ class NetworkRun:
             "nu": [list(map(float, v)) for v in self.nu],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["layer", "unit", "f", "g", "h", "nu"])
-            for l in range(len(self.f)):
-                h = self.h[l - 1] if l >= 1 else None
-                for i in range(len(self.f[l])):
-                    w.writerow([l, i, repr(float(self.f[l][i])),
-                                repr(float(self.g[l][i])),
-                                "" if h is None else repr(float(h[i])),
-                                repr(float(self.nu[l][i]))])
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +426,8 @@ def sample_init(spec: NetworkSpec, rng: np.random.Generator, z_shared=None):
         c_g = s_g.sample(rng, spec.r, z_shared, rho)
         alpha = np.round(t_f.sample_exponents(rng, spec.r, d)).astype(int)
         alpha_g = np.round(t_g.sample_exponents(rng, spec.r, d)).astype(int)
-        f0.append(TropicalPolynomial(
-            TropicalMonomial(TropicalValue(c[s]), tuple(alpha[s])) for s in range(spec.r)))
-        g0.append(TropicalPolynomial(
-            TropicalMonomial(TropicalValue(c_g[s]), tuple(alpha_g[s])) for s in range(spec.r)))
+        f0.append(TropicalPolynomial._from_arrays(alpha, c))
+        g0.append(TropicalPolynomial._from_arrays(alpha_g, c_g))
     return tuple(f0), tuple(g0)
 
 

@@ -268,6 +268,12 @@ def random_finite_support_process(seed: int, horizon: int,
 # Solutions
 # ---------------------------------------------------------------------------
 
+def _json_float(x) -> float | str:
+    """``x`` as a float, or as the string "inf"/"-inf" that JSON can hold."""
+    x = float(x)
+    return repr(x) if math.isinf(x) else x
+
+
 @dataclass
 class StoppingSolution:
     """Envelope values, selected depth, and attained utility."""
@@ -288,10 +294,11 @@ class StoppingSolution:
         return len(self.snell_mean)
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; an infinite value (perfect fit) becomes "inf"."""
         return {
             "tau": self.tau if self.tau is not None else self.tau_mean,
-            "value": self.value,
-            "S": [float(s) for s in self.snell_mean],
+            "value": _json_float(self.value),
+            "S": [_json_float(s) for s in self.snell_mean],
             "tau_distribution": {str(l): p for l, p in self.tau_distribution},
             "method": self.method,
         }

@@ -7,9 +7,14 @@ algebraic element rather than an IEEE -inf so that undefined operations
 
 A tropical polynomial is a finite max of affine monomials
 c + alpha · x with nonnegative integer slope vectors alpha; distinct
-monomials always carry distinct slope vectors.  Tropical rational
-functions are differences f - g of two polynomials and are exactly the
-piecewise-linear functions this package cares about.
+monomials always carry distinct slope vectors.  It is stored as two
+arrays, an int64 exponent matrix (one row per monomial) and a float
+coefficient vector with -inf for bottom, whose rows one lexsort keeps
+sorted by exponent and free of repeats.  ``TropicalMonomial`` objects
+exist only at the API boundary: the public constructor takes them and
+``TropicalPolynomial.monomials`` builds them on request.  Tropical
+rational functions are differences f - g of two polynomials and are
+exactly the piecewise-linear functions this package cares about.
 
 The linear regions of a polynomial, and the monomials that pruning keeps,
 are the vertices of the upper convex hull of the lifted points
@@ -159,15 +164,46 @@ class TropicalMonomial:
         return TropicalValue(self.coeff.value + float(np.dot(self.exponent, x)))
 
 
+def _value(c: TropicalValue) -> float:
+    """Coefficient-vector entry of a scalar: -inf for bottom."""
+    return -np.inf if c.is_bottom else c.value
+
+
+def _normalise(alpha: np.ndarray, coeff: np.ndarray):
+    """Canonical rows of a polynomial given as exponent rows and coefficients.
+
+    Rows are sorted by exponent; a repeated exponent keeps its largest
+    coefficient (the max of identical affine parts is governed by the larger
+    constant); bottom rows are dropped unless every row is bottom, which
+    leaves one bottom row at the zero exponent.
+    """
+    alpha = np.asarray(alpha, dtype=np.int64)
+    coeff = np.asarray(coeff, dtype=float)
+    live = coeff > -np.inf
+    if not live.any():
+        return np.zeros((1, alpha.shape[1]), dtype=np.int64), np.array([-np.inf])
+    if not live.all():
+        alpha, coeff = alpha[live], coeff[live]
+    # lexsort's last key is the primary one: exponents first, larger c first.
+    order = np.lexsort((-coeff, *alpha.T[::-1]))
+    alpha, coeff = alpha[order], coeff[order]
+    first = np.ones(len(coeff), dtype=bool)
+    first[1:] = (alpha[1:] != alpha[:-1]).any(axis=1)
+    return alpha[first], coeff[first]
+
+
 class TropicalPolynomial:
     """Finite tropical sum (max) of tropical monomials over a common dimension.
 
-    Duplicate slope vectors are merged on construction, keeping the ⊕ of
-    their coefficients: the max of identical affine parts is governed by
-    the larger constant.
+    Stored as an int64 exponent matrix ``_alpha`` of shape (r, d) and a
+    coefficient vector ``_coeff`` (-inf for bottom), normalised by
+    ``_normalise``: rows sorted by exponent, distinct exponents, and no
+    bottom row unless the polynomial is bottom.  ``TropicalMonomial``
+    objects exist only at the boundary: the constructor takes them and
+    ``monomials`` builds them on request.
     """
 
-    __slots__ = ("_monomials", "_dim", "_alpha", "_coeff")
+    __slots__ = ("_alpha", "_coeff")
 
     def __init__(self, monomials: Iterable[TropicalMonomial]):
         monos = list(monomials)
@@ -176,41 +212,35 @@ class TropicalPolynomial:
         dim = monos[0].dim
         if any(m.dim != dim for m in monos):
             raise TropicalError("monomials must share one ambient dimension")
+        alpha = np.array([m.exponent for m in monos], dtype=np.int64).reshape(len(monos), dim)
+        self._alpha, self._coeff = _normalise(
+            alpha, np.array([_value(m.coeff) for m in monos]))
 
-        merged: dict[tuple[int, ...], TropicalValue] = {}
-        for m in monos:
-            prev = merged.get(m.exponent)
-            merged[m.exponent] = m.coeff if prev is None else trop_add(prev, m.coeff)
-        # Drop bottom monomials unless nothing finite remains.
-        finite = {e: c for e, c in merged.items() if not c.is_bottom}
-        if finite:
-            merged = finite
-        else:
-            merged = {tuple([0] * dim): BOTTOM}
-
-        items = sorted(merged.items())
-        self._monomials = tuple(TropicalMonomial(c, e) for e, c in items)
-        self._dim = dim
-        self._alpha = np.array([m.exponent for m in self._monomials], dtype=float)
-        self._coeff = np.array(
-            [-np.inf if m.coeff.is_bottom else m.coeff.value for m in self._monomials]
-        )
+    @classmethod
+    def _from_arrays(cls, alpha: np.ndarray, coeff: np.ndarray) -> "TropicalPolynomial":
+        """Polynomial with rows (alpha_i, coeff_i), trusted nonnegative and
+        finite or -inf, normalised as the public constructor does."""
+        f = object.__new__(cls)
+        f._alpha, f._coeff = _normalise(alpha, coeff)
+        return f
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return self._alpha.shape[1]
 
     @property
     def monomials(self) -> tuple[TropicalMonomial, ...]:
-        return self._monomials
+        return tuple(TropicalMonomial(BOTTOM if c == -np.inf else TropicalValue(c), a)
+                     for a, c in zip(self._alpha.tolist(), self._coeff.tolist()))
 
     @property
     def num_monomials(self) -> int:
-        return len(self._monomials)
+        return len(self._coeff)
 
     @property
     def is_bottom(self) -> bool:
-        return bool(np.all(np.isneginf(self._coeff)))
+        # Normalised rows hold a bottom row only when it is the only row.
+        return bool(self._coeff[0] == -np.inf)
 
     def __call__(self, x) -> float:
         return eval_polynomial(self, x)
@@ -220,9 +250,9 @@ class TropicalPolynomial:
         if self.is_bottom:
             raise BottomValueError("cannot evaluate an all-bottom polynomial")
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape[1] != self._dim:
-            raise TropicalError(f"points have dimension {points.shape[1]}, expected {self._dim}")
-        return np.max(points @ self._alpha.T + self._coeff, axis=1)
+        if points.shape[1] != self.dim:
+            raise TropicalError(f"points have dimension {points.shape[1]}, expected {self.dim}")
+        return np.max(points @ self._alpha.astype(float).T + self._coeff, axis=1)
 
     def scale(self, w: int) -> "TropicalPolynomial":
         """Tropical power f^{⊙w} for integer w >= 0; scales every monomial."""
@@ -230,39 +260,35 @@ class TropicalPolynomial:
         if w < 0:
             raise TropicalError("tropical powers of polynomials need nonnegative weights")
         if w == 0:
-            return constant_polynomial(self._dim, ZERO)
-        return TropicalPolynomial(
-            TropicalMonomial(trop_pow(m.coeff, w) if m.coeff.is_bottom else
-                             TropicalValue(m.coeff.value * w),
-                             tuple(e * w for e in m.exponent))
-            for m in self._monomials
-        )
+            return constant_polynomial(self.dim, ZERO)
+        return self._from_arrays(self._alpha * w, self._coeff * w)
 
     def shift(self, c: TropicalValue) -> "TropicalPolynomial":
         """Multiply by the scalar c (add c to every coefficient)."""
-        c = as_tropical(c)
-        return TropicalPolynomial(
-            TropicalMonomial(trop_mul(m.coeff, c), m.exponent) for m in self._monomials
-        )
+        return self._from_arrays(self._alpha, self._coeff + _value(as_tropical(c)))
 
     def __eq__(self, other):
         return (isinstance(other, TropicalPolynomial)
-                and self._monomials == other._monomials)
+                and self._alpha.shape == other._alpha.shape
+                and np.array_equal(self._alpha, other._alpha)
+                and np.array_equal(self._coeff, other._coeff))
 
     def __hash__(self):
-        return hash(self._monomials)
+        # Hash the floats, not their bytes, so that 0.0 and -0.0 agree.
+        return hash((self._alpha.shape, self._alpha.tobytes(), tuple(self._coeff.tolist())))
 
     def __repr__(self):
         terms = ", ".join(
-            f"{'bottom' if m.coeff.is_bottom else m.coeff.value}+{m.exponent}·x"
-            for m in self._monomials[:4]
+            f"{'bottom' if c == -np.inf else c}+{tuple(a)}·x"
+            for a, c in zip(self._alpha[:4].tolist(), self._coeff[:4].tolist())
         )
         more = "" if self.num_monomials <= 4 else f", ... ({self.num_monomials} terms)"
         return f"TropicalPolynomial[{terms}{more}]"
 
 
 def constant_polynomial(dim: int, c) -> TropicalPolynomial:
-    return TropicalPolynomial([TropicalMonomial(as_tropical(c), tuple([0] * dim))])
+    return TropicalPolynomial._from_arrays(np.zeros((1, dim), dtype=np.int64),
+                                           np.array([_value(as_tropical(c))]))
 
 
 @dataclass(frozen=True)
@@ -302,7 +328,8 @@ def poly_add(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPolynomial
     """Tropical sum f ⊕ g: union of monomials with coefficient merging."""
     if f.dim != g.dim:
         raise TropicalError("cannot add polynomials of different dimension")
-    return TropicalPolynomial(list(f.monomials) + list(g.monomials))
+    return TropicalPolynomial._from_arrays(np.concatenate([f._alpha, g._alpha]),
+                                           np.concatenate([f._coeff, g._coeff]))
 
 
 def poly_mul(f: TropicalPolynomial, g: TropicalPolynomial,
@@ -314,23 +341,9 @@ def poly_mul(f: TropicalPolynomial, g: TropicalPolynomial,
     """
     if f.dim != g.dim:
         raise TropicalError("cannot multiply polynomials of different dimension")
-    fa, fc = f._alpha.astype(int), f._coeff
-    ga, gc = g._alpha.astype(int), g._coeff
-
-    alpha = (fa[:, None, :] + ga[None, :, :]).reshape(-1, f.dim)
-    coeff = (fc[:, None] + gc[None, :]).reshape(-1)
-    merged: dict[tuple[int, ...], float] = {}
-    for a, c in zip(map(tuple, alpha.tolist()), coeff):
-        if c == -np.inf:
-            continue
-        prev = merged.get(a)
-        if prev is None or c > prev:
-            merged[a] = c
-    if not merged:
-        return constant_polynomial(f.dim, BOTTOM)
-    out = TropicalPolynomial(
-        TropicalMonomial(TropicalValue(c), a) for a, c in merged.items()
-    )
+    out = TropicalPolynomial._from_arrays(
+        (f._alpha[:, None, :] + g._alpha[None, :, :]).reshape(-1, f.dim),
+        (f._coeff[:, None] + g._coeff[None, :]).reshape(-1))
     if cap is not None and out.num_monomials > cap:
         out = prune_redundant_monomials(out)
         if out.num_monomials > cap:
@@ -403,10 +416,11 @@ class RegionCount:
 
 
 def _finite_parts(f: TropicalPolynomial):
-    mask = np.isfinite(f._coeff)
-    if not mask.any():
+    """Float exponents and coefficients; a polynomial that is not bottom has
+    no bottom rows."""
+    if f.is_bottom:
         raise BottomValueError("polynomial has no finite monomials to count")
-    return f._alpha[mask], f._coeff[mask]
+    return f._alpha.astype(float), f._coeff
 
 
 def _dominance_slack(alpha: np.ndarray, coeff: np.ndarray, i: int) -> float:
@@ -505,10 +519,7 @@ def prune_redundant_monomials(f: TropicalPolynomial) -> TropicalPolynomial:
     if not keep:
         # All cells tie away; keep the largest-coefficient monomial.
         keep = [int(np.argmax(coeff))]
-    return TropicalPolynomial(
-        TropicalMonomial(TropicalValue(coeff[i]), tuple(int(a) for a in alpha[i]))
-        for i in keep
-    )
+    return TropicalPolynomial._from_arrays(f._alpha[keep], coeff[keep])
 
 
 def _grid_points(dim: int, box: tuple[float, float], step: float) -> np.ndarray:
@@ -556,24 +567,27 @@ def polynomial_to_dict(f: TropicalPolynomial) -> dict:
     return {
         "d": f.dim,
         "monomials": [
-            {"c": "bottom" if m.coeff.is_bottom else m.coeff.value,
-             "alpha": list(m.exponent)}
-            for m in f.monomials
+            {"c": "bottom" if c == -np.inf else c, "alpha": a}
+            for a, c in zip(f._alpha.tolist(), f._coeff.tolist())
         ],
     }
 
 
 def polynomial_from_dict(data: dict) -> TropicalPolynomial:
     d = int(data["d"])
-    monos = []
+    alpha, coeff = [], []
     for entry in data["monomials"]:
         c = entry["c"]
-        coeff = BOTTOM if c == "bottom" else TropicalValue(float(c))
-        alpha = tuple(int(a) for a in entry["alpha"])
-        if len(alpha) != d:
-            raise TropicalError(f"monomial exponent length {len(alpha)} != d={d}")
-        monos.append(TropicalMonomial(coeff, alpha))
-    return TropicalPolynomial(monos)
+        coeff.append(_value(BOTTOM if c == "bottom" else TropicalValue(float(c))))
+        alpha.append([int(a) for a in entry["alpha"]])
+        if len(alpha[-1]) != d:
+            raise TropicalError(f"monomial exponent length {len(alpha[-1])} != d={d}")
+    if not coeff:
+        raise TropicalError("a tropical polynomial needs at least one monomial")
+    alpha = np.array(alpha, dtype=np.int64).reshape(len(coeff), d)
+    if (alpha < 0).any():
+        raise TropicalError("monomial exponents must be nonnegative")
+    return TropicalPolynomial._from_arrays(alpha, np.array(coeff))
 
 
 def polynomial_to_json(f: TropicalPolynomial) -> str:

@@ -84,6 +84,18 @@ class TestSubcommands:
         assert "runs.csv" in files and "runs.json" in files
         assert (tmp_path / "manifest.json").exists()
 
+    def test_runs_csv_dump(self, tmp_path):
+        cfg = parse_config("simulate", {"seed": 1, "network": network_dict(),
+                                        "simulate": {"n": 2}})
+        run_subcommand("simulate", cfg, out_dir=tmp_path)
+        lines = (tmp_path / "runs.csv").read_text().strip().splitlines()
+        assert lines[0] == "run,layer,unit,f,g,h,nu"
+        rows = [line.split(",") for line in lines[1:]]
+        # layer 0 has no preactivation column value
+        assert all((row[5] == "") == (row[1] == "0") for row in rows)
+        # one row per unit of every layer of every run
+        assert len(rows) == 2 * sum((2, 3, 3))
+
     def test_bounds_consistent_exit_zero(self, tmp_path):
         cfg = parse_config("bounds", {
             "seed": 2, "network": network_dict(),
@@ -111,6 +123,24 @@ class TestSubcommands:
         assert code == EXIT_OK
         sel = json.loads((tmp_path / "out" / "selection.json").read_text())
         assert sel["tau"] == 7
+
+    def test_select_layers_perfect_fit_writes_valid_json(self, tmp_path):
+        zero = {"kind": "finite-support", "values": [0.0]}
+        cfg = parse_config("select-layers", {
+            "network": {"widths": [1, 1, 1], "weight_dist": zero, "bias_dist": zero,
+                        "init_mode": "identity", "input_box": [[-1.0, 1.0]]},
+            "select_layers": {"method": "lsmc", "horizon": 2, "y_star": [0.0],
+                              "n_trajectories": 100}})
+        with pytest.warns(UserWarning, match="perfect fit"):
+            code, _ = run_subcommand("select-layers", cfg, out_dir=tmp_path)
+        assert code == EXIT_OK
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        sel = json.loads((tmp_path / "selection.json").read_text(),
+                         parse_constant=reject)
+        assert sel["value"] == "inf" and sel["S"] == ["inf", "inf"]
 
     def test_regions_polynomial(self, tmp_path):
         cfg = parse_config("regions", {"regions": {"polynomial": {

@@ -280,17 +280,6 @@ class TestRunNetwork:
         data = run.to_dict()
         assert data["nu"][0] == pytest.approx(list(np.asarray(run.nu[0])))
 
-    def test_csv_dump(self, tmp_path):
-        run = run_network(small_spec(), [0.1, 0.2], seed=3)
-        path = tmp_path / "run.csv"
-        run.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "layer,unit,f,g,h,nu"
-        # layer 0 has no preactivation column value
-        assert lines[1].split(",")[4] == ""
-        total_units = sum(len(v) for v in run.f)
-        assert len(lines) == 1 + total_units
-
 
 class TestRunSymbolic:
     def test_single_relu_neuron_polynomials(self):

@@ -19,6 +19,8 @@ from tropnet.tropical import (
     UndefinedPowerError,
     count_linear_regions,
     eval_polynomial,
+    poly_add,
+    poly_mul,
     poly_weighted_combine,
     polynomial_from_json,
     polynomial_to_json,
@@ -168,6 +170,95 @@ class TestPolynomials:
         batch = f.evaluate_batch(pts)
         for v, x in zip(batch, pts):
             assert v == eval_polynomial(f, x)
+
+
+def dict_merge(rows, d):
+    """Reference normalisation: merge repeated exponents in a dict, keep the
+    larger coefficient, drop bottom (-inf) unless nothing else is left, sort."""
+    merged = {}
+    for alpha, c in rows:
+        prev = merged.get(alpha)
+        merged[alpha] = c if prev is None else max(prev, c)
+    finite = {a: c for a, c in merged.items() if c > -math.inf}
+    return sorted(finite.items()) if finite else [((0,) * d, -math.inf)]
+
+
+def rows_of(f):
+    return list(zip(map(tuple, f._alpha.tolist()), f._coeff.tolist()))
+
+
+@st.composite
+def raw_rows(draw):
+    """(d, rows) with repeated exponents and bottom rows likely, d = 1..3."""
+    d = draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(0, 2)] * d)
+    coeff = st.one_of(st.just(-math.inf), st.integers(-4, 4).map(lambda k: k / 2))
+    return d, draw(st.lists(st.tuples(exponent, coeff), min_size=1, max_size=12))
+
+
+def from_rows(rows):
+    return TropicalPolynomial([mono(None if c == -math.inf else c, a) for a, c in rows])
+
+
+class TestArrayRepresentation:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(raw_rows())
+    def test_constructors_match_the_dict_merge(self, data):
+        d, rows = data
+        want = dict_merge(rows, d)
+        assert rows_of(from_rows(rows)) == want
+        alpha = np.array([a for a, _ in rows], dtype=np.int64).reshape(len(rows), d)
+        f = TropicalPolynomial._from_arrays(alpha, np.array([c for _, c in rows]))
+        assert rows_of(f) == want
+        assert [(m.exponent, -math.inf if m.coeff.is_bottom else m.coeff.value)
+                for m in f.monomials] == want
+        assert f.is_bottom == (want[0][1] == -math.inf)
+
+    def test_all_bottom_input_keeps_one_bottom_row_at_zero(self):
+        f = from_rows([((2, 1), -math.inf), ((0, 3), -math.inf)])
+        assert rows_of(f) == [((0, 0), -math.inf)]
+        assert f.is_bottom and f.num_monomials == 1
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(raw_rows(), st.data())
+    def test_poly_mul_is_the_max_over_the_cross_product(self, first, data):
+        d, rows_f = first
+        rows_g = data.draw(raw_rows().filter(lambda dr: dr[0] == d)
+                           | st.just((d, [((0,) * d, 0.5)])))[1]
+        f, g = from_rows(rows_f), from_rows(rows_g)
+        cross = [(tuple(a + b for a, b in zip(af, ag)), cf + cg)
+                 for af, cf in rows_of(f) for ag, cg in rows_of(g)]
+        prod = poly_mul(f, g)
+        assert rows_of(prod) == dict_merge(cross, d)
+        if not prod.is_bottom:
+            x = np.random.default_rng(len(cross)).uniform(-2, 2, size=(8, d))
+            brute = np.max([c + x @ np.array(a) for a, c in cross], axis=0)
+            np.testing.assert_allclose(prod.evaluate_batch(x), brute, atol=1e-12)
+
+    def test_poly_add_merges_the_union(self):
+        f = poly((1.0, (1, 0)), (0.0, (0, 0)))
+        g = poly((2.0, (1, 0)), (None, (0, 1)))
+        assert rows_of(poly_add(f, g)) == [((0, 0), 0.0), ((1, 0), 2.0)]
+
+    def test_order_of_monomials_does_not_matter(self):
+        rng = np.random.default_rng(16)
+        terms = [(rng.uniform(-2, 2), tuple(rng.integers(0, 3, size=2))) for _ in range(8)]
+        terms += [(None, (5, 5)), (-3.0, terms[0][1])]
+        for _ in range(5):
+            shuffled = [terms[i] for i in rng.permutation(len(terms))]
+            assert poly(*shuffled) == poly(*terms)
+            assert hash(poly(*shuffled)) == hash(poly(*terms))
+
+    def test_signed_zero_coefficients_compare_and_hash_equal(self):
+        f, g = poly((0.0, (1,))), poly((-0.0, (1,)))
+        assert f == g and hash(f) == hash(g)
+        assert f != poly((0.0, (2,))) and f != poly((0.0, (1, 0)))
+
+    def test_storage_is_the_two_arrays(self):
+        f = poly((1.0, (1, 0)), (0.0, (0, 0)))
+        assert TropicalPolynomial.__slots__ == ("_alpha", "_coeff")
+        assert f._alpha.dtype == np.int64 and f._alpha.shape == (2, 2)
+        assert f._coeff.dtype == np.float64 and f._coeff.shape == (2,)
 
 
 class TestWeightedCombine:
@@ -362,6 +453,24 @@ class TestSerialization:
         f = TropicalPolynomial([mono(None, (0, 0))])
         again = polynomial_from_json(polynomial_to_json(f))
         assert again.is_bottom
+        assert again == f and hash(again) == hash(f)
+        assert '"c": "bottom"' in polynomial_to_json(f)
+        # A bottom row next to finite ones is dropped on construction.
+        g = poly((None, (2, 1)), (1.5, (0, 1)))
+        assert polynomial_from_json(polynomial_to_json(g)) == g == poly((1.5, (0, 1)))
+
+    def test_reading_drops_bottom_rows_and_merges_repeats(self):
+        text = ('{"d": 1, "monomials": [{"c": "bottom", "alpha": [3]}, '
+                '{"c": 1.0, "alpha": [1]}, {"c": 2.0, "alpha": [1]}]}')
+        assert polynomial_from_json(text) == poly((2.0, (1,)))
+
+    def test_reading_rejects_bad_entries(self):
+        with pytest.raises(ValueError):
+            polynomial_from_json('{"d": 1, "monomials": [{"c": 0, "alpha": [-1]}]}')
+        with pytest.raises(ValueError):
+            polynomial_from_json('{"d": 1, "monomials": [{"c": "inf", "alpha": [1]}]}')
+        with pytest.raises(ValueError):
+            polynomial_from_json('{"d": 1, "monomials": []}')
 
     def test_schema_shape(self):
         import json
