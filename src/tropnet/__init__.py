@@ -27,12 +27,10 @@ from .tropical import (
     poly_mul,
     poly_weighted_combine,
     polynomial_from_dict,
-    polynomial_from_json,
     polynomial_to_dict,
     polynomial_to_json,
     prune_redundant_monomials,
     trop_add,
-    trop_div,
     trop_mul,
     trop_pow,
 )
@@ -47,7 +45,6 @@ from .networks import (
     degenerate,
     forward_fg,
     forward_relu_direct,
-    identity_init,
     network_spec_from_dict,
     network_spec_to_dict,
     propagate_intervals,
@@ -55,8 +52,6 @@ from .networks import (
     reference_spec,
     run_network,
     run_symbolic,
-    sample_init,
-    sample_layer,
     sample_network,
     simulate_layer_outputs,
     uniform_int,
@@ -66,7 +61,6 @@ from .bounds import (
     BoundReport,
     ConvexOrderReport,
     MartingaleGradeReport,
-    MartingaleSpec,
     XiCertificate,
     convex_order_check,
     estimate_tail,
@@ -108,12 +102,9 @@ from .stopping import (
     exhaustive_stopping_oracle,
     gamma_value,
     loss_mse,
-    random_finite_support_process,
     select_layers,
     simulate_gamma_trajectories,
-    stopped_envelope_means,
     stopping_time,
-    stopping_time_batched,
 )
 from .seeding import stream
 

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .networks import NetworkSpec, propagate_intervals, simulate_layer_outputs
-from .seeding import stream
+from .seeding import item_seed, stream
 
 #: Slack multiplier converting a probabilistic bound into a pinned verdict.
 SE_SLACK = 3.0
@@ -311,39 +311,6 @@ def convex_order_check(samples1: np.ndarray, samples2: np.ndarray,
 
 
 @dataclass(frozen=True)
-class MartingaleSpec:
-    """A claimed martingale structure for a constant-width sequence.
-
-    ``kind`` says whether the raw layer outputs or their centered versions
-    are meant; ``increment_bound`` is the constant M entering the tail
-    bound and must dominate every observed increment norm.
-    """
-
-    kind: str = "raw"          # "raw" | "centered"
-    increment_bound: float = 1.0
-    width: int = 1
-    grade: str = "very-weak"   # "strong" | "weak" | "very-weak"
-
-    def __post_init__(self):
-        if self.kind not in ("raw", "centered"):
-            raise ValueError(f"unknown sequence kind {self.kind!r}")
-        if self.grade not in ("strong", "weak", "very-weak"):
-            raise ValueError(f"unknown martingale grade {self.grade!r}")
-        if self.increment_bound <= 0 or self.width < 1:
-            raise ValueError("need a positive increment bound and width")
-
-    def validate_against(self, trajectories: np.ndarray):
-        """Check width constancy and increment domination on realized runs."""
-        traj = np.asarray(trajectories, dtype=float)
-        if traj.ndim != 3 or traj.shape[2] != self.width:
-            raise ValueError(f"trajectories must have constant width {self.width}")
-        observed = float(np.linalg.norm(np.diff(traj, axis=1), axis=2).max())
-        if observed > self.increment_bound + 1e-9:
-            raise ValueError(f"observed increment norm {observed} exceeds the "
-                             f"claimed bound {self.increment_bound}")
-
-
-@dataclass(frozen=True)
 class MartingaleGradeReport:
     """Convex-order falsification of the martingale grades of a sequence."""
 
@@ -361,8 +328,10 @@ def martingale_grade_check(trajectories: np.ndarray, k: int = 16,
 
     ``trajectories`` has shape (n_runs, steps+1, p) with the step-0 state
     included.  Consecutive pairs probe the very-weak grade; all ordered
-    pairs j < l probe the weak grade.  Also estimates the largest observed
-    increment norm M, the constant entering the martingale tail bound.
+    pairs j < l probe the weak grade; pair ``i`` in that order draws its
+    test functions from ``item_seed(seed, "mgale-pair", i)``.  Also
+    estimates the largest observed increment norm M, the constant entering
+    the martingale tail bound.
     """
     traj = np.asarray(trajectories, dtype=float)
     if traj.ndim != 3:
@@ -375,17 +344,17 @@ def martingale_grade_check(trajectories: np.ndarray, k: int = 16,
     worst = ("", -math.inf, (0, 0))
     weak_falsified = False
     vw_falsified = False
-    for l in range(1, steps + 1):
-        for j in range(l):
-            rep = convex_order_check(traj[:, j], traj[:, l], k=k, alpha=alpha,
-                                     seed=seed + 7919 * j + l)
-            pair_reports.append(((j, l), rep))
-            if rep.worst_z > worst[1]:
-                worst = (rep.worst_function, rep.worst_z, (j, l))
-            if rep.falsified:
-                weak_falsified = True
-                if j == l - 1:
-                    vw_falsified = True
+    pairs = [(j, l) for l in range(1, steps + 1) for j in range(l)]
+    for i, (j, l) in enumerate(pairs):
+        rep = convex_order_check(traj[:, j], traj[:, l], k=k, alpha=alpha,
+                                 seed=item_seed(seed, "mgale-pair", i))
+        pair_reports.append(((j, l), rep))
+        if rep.worst_z > worst[1]:
+            worst = (rep.worst_function, rep.worst_z, (j, l))
+        if rep.falsified:
+            weak_falsified = True
+            if j == l - 1:
+                vw_falsified = True
     return MartingaleGradeReport(
         very_weak_falsified=vw_falsified,
         weak_falsified=weak_falsified,

@@ -46,7 +46,7 @@ from .networks import (
     run_symbolic,
     simulate_layer_outputs,
 )
-from .seeding import stream
+from .seeding import item_seed, stream
 from .stopping import (
     FiniteSupportProcess,
     GammaSpec,
@@ -299,7 +299,7 @@ def _run_simulate(cfg: ExperimentConfig, out: _OutDir) -> int:
     x_fixed = opts.get("input")
     runs = []
     for i in range(n):
-        seed_i = cfg.seed * 1_000_003 + i
+        seed_i = item_seed(cfg.seed, "simulate", i)
         if x_fixed is not None:
             x = np.asarray(x_fixed, dtype=float)
         else:
@@ -430,10 +430,10 @@ def _run_regions(cfg: ExperimentConfig, out: _OutDir) -> int:
             raise ConfigError("config.network",
                               "region sampling needs a scalar output with an "
                               "identity last layer")
+        seeds = [item_seed(cfg.seed, "regions", i) for i in range(count)]
         with _mapper(cfg.workers) as pool_map:
             results = list(pool_map(_symbolic_region_count, repeat(cfg.network),
-                                    [cfg.seed * 1_000_003 + i for i in range(count)],
-                                    repeat(cap)))
+                                    seeds, repeat(cap)))
         with open(out / "regions.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["seed", "monomials", "regions"])

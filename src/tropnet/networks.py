@@ -10,16 +10,18 @@ threshold vectors.  Layers evolve through the coupled pair recursion
 
 with nu = F - G the layer output; ``forward_relu_direct`` implements the
 plain recursion nu' = max(A nu + b, t) and serves as the independent
-oracle for the pair form.  The pair recursion serves single draws
-(``run_network``) and the fully symbolic (tropical polynomial) forward
-pass; batched Monte Carlo (``simulate_layer_outputs``) carries only nu
-through the direct recursion, on integer weights as drawn.  An
-interval-arithmetic certificate bounds the layer output norms.
+oracle for the pair form.  One sampler draws the parameters of a batch of
+networks; a single draw (``sample_network``) is a batch of one from it.
+The pair recursion serves single draws (``run_network``) and the fully
+symbolic (tropical polynomial) forward pass; batched Monte Carlo
+(``simulate_layer_outputs``) carries only nu through the direct
+recursion, on integer weights as drawn.  An interval-arithmetic
+certificate bounds the layer output norms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -29,11 +31,9 @@ from scipy.stats import truncnorm
 from .seeding import block_indices, stream
 from .tropical import (
     BOTTOM,
-    TropicalMonomial,
     TropicalPolynomial,
     TropicalRational,
     TropicalValue,
-    constant_polynomial,
     poly_add,
     poly_weighted_combine,
 )
@@ -346,11 +346,6 @@ class NetworkSpec:
         return self.thresholds[layer - 1]
 
 
-def identity_init(spec: NetworkSpec) -> NetworkSpec:
-    """Copy of ``spec`` with F0(x) = x and G0(x) = 0 initialization."""
-    return replace(spec, init_mode="identity", r=1)
-
-
 @dataclass
 class LayerSample:
     """Drawn parameters of one layer: A = A+ - A-, bias b, threshold t."""
@@ -406,58 +401,86 @@ class NetworkRun:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def sample_init(spec: NetworkSpec, rng: np.random.Generator, z_shared=None):
-    """Draw the initialization polynomial vectors (F0, G0)."""
-    d = spec.d
-    if spec.init_mode == "identity":
-        f0, g0 = [], []
-        for j in range(d):
-            e_j = tuple(1 if k == j else 0 for k in range(d))
-            f0.append(TropicalPolynomial([TropicalMonomial(TropicalValue(0.0), e_j)]))
-            g0.append(constant_polynomial(d, 0.0))
-        return tuple(f0), tuple(g0)
+_INT8 = np.iinfo(np.int8)
 
+
+def _batch_weight_dtype(dist: DistributionSpec):
+    """Integer dtype of weight draws, or None for float draws.
+
+    A bounded-uniform-integer law whose range fits int8 is drawn as int8,
+    which is cheaper to draw and to multiply; a wider one as int64.
+    """
+    if dist.kind != "bounded-uniform-integer":
+        return None
+    return np.int8 if _INT8.min <= dist.lo and dist.hi <= _INT8.max else np.int64
+
+
+def _draw_init(spec: NetworkSpec, rng, n: int, z_shared):
+    """Initialization arrays of ``n`` draws, yielded per input coordinate.
+
+    Coordinate j gives ``(c, alpha, c_g, alpha_g)``: coefficients of shape
+    (n, r) and exponents of shape (n, r, d) of F0_j and G0_j, drawn when
+    asked for, so a batch holds one coordinate's arrays at a time.
+    Identity initialization draws nothing and gives F0_j(x) = x_j, G0_j(x) = 0.
+    """
+    d, r = spec.d, spec.r
     rho = spec.copula_rho
-    f0, g0 = [], []
+    z = z_shared[:, None] if z_shared is not None else None
     for j in range(d):
-        s_f, s_g = spec.coeff_specs("f")[j], spec.coeff_specs("g")[j]
-        t_f, t_g = spec.exponent_specs("f")[j], spec.exponent_specs("g")[j]
-        c = s_f.sample(rng, spec.r, z_shared, rho)
-        c_g = s_g.sample(rng, spec.r, z_shared, rho)
-        alpha = np.round(t_f.sample_exponents(rng, spec.r, d)).astype(int)
-        alpha_g = np.round(t_g.sample_exponents(rng, spec.r, d)).astype(int)
-        f0.append(TropicalPolynomial._from_arrays(alpha, c))
-        g0.append(TropicalPolynomial._from_arrays(alpha_g, c_g))
-    return tuple(f0), tuple(g0)
+        if spec.init_mode == "identity":
+            zeros = np.zeros((n, 1))
+            yield zeros, np.tile(np.eye(d)[j], (n, 1, 1)), zeros, np.zeros((n, 1, d))
+        else:
+            c = spec.coeff_specs("f")[j].sample(rng, (n, r), z, rho)
+            c_g = spec.coeff_specs("g")[j].sample(rng, (n, r), z, rho)
+            alpha = spec.exponent_specs("f")[j].sample_exponents(rng, (n, r), d)
+            alpha_g = spec.exponent_specs("g")[j].sample_exponents(rng, (n, r), d)
+            yield c, alpha, c_g, alpha_g
 
 
-def sample_layer(spec: NetworkSpec, layer: int, rng: np.random.Generator,
-                 z_shared=None) -> LayerSample:
-    """Draw weights, bias, and threshold for layer ``layer`` (1-based)."""
-    if not 1 <= layer <= spec.depth:
-        raise SpecError(f"layer index {layer} outside 1..{spec.depth}")
+def _draw_layer(spec: NetworkSpec, layer: int, rng, n: int, z_shared):
+    """Weights, bias and threshold of layer ``layer`` (1-based) for ``n`` draws.
+
+    ``a`` has shape (n, n_out, n_in) in the dtype ``_batch_weight_dtype``
+    picks; ``b`` has shape (n, n_out), and ``t`` too unless the threshold
+    mode fixes it, when one row (1, n_out) serves every draw.
+    """
     n_out, n_in = spec.widths[layer], spec.widths[layer - 1]
     rho = spec.copula_rho
-    a = spec.weight_dist_for(layer).sample(rng, (n_out, n_in), z_shared, rho)
-    b = spec.bias_dist_for(layer).sample(rng, n_out, z_shared, rho)
+    zmat = z_shared[:, None, None] if z_shared is not None else None
+    zvec = z_shared[:, None] if z_shared is not None else None
+    w = spec.weight_dist_for(layer)
+    a = w.sample(rng, (n, n_out, n_in), zmat, rho, dtype=_batch_weight_dtype(w))
+    b = spec.bias_dist_for(layer).sample(rng, (n, n_out), zvec, rho)
     mode = spec.threshold_mode(layer)
-    if mode == "relu":
-        t = np.zeros(n_out)
-    elif mode == "identity":
-        t = np.full(n_out, -np.inf)
+    if mode == "random":
+        t = spec.threshold_dist.sample(rng, (n, n_out), zvec, rho)
     else:
-        t = spec.threshold_dist.sample(rng, n_out, z_shared, rho)
-    return LayerSample.from_weights(a, b, t)
+        t = np.full((1, n_out), 0.0 if mode == "relu" else -np.inf)
+    return a, b, t
 
 
 def sample_network(spec: NetworkSpec, seed: int) -> NetworkSample:
-    """Draw a full network; identical (spec, seed) gives identical draws."""
+    """Draw a full network; identical (spec, seed) gives identical draws.
+
+    The draw is the batch of one that Monte Carlo draws from ``stream(seed,
+    "network")``: ``simulate_layer_outputs(spec, 1, seed, x=x,
+    tag="network")`` runs this network at ``x``.
+    """
     rng = stream(seed, "network")
-    z_shared = rng.standard_normal() if spec.copula_rho != 0.0 else None
-    f0, g0 = sample_init(spec, rng, z_shared)
-    layers = tuple(sample_layer(spec, l, rng, z_shared)
-                   for l in range(1, spec.depth + 1))
-    return NetworkSample(f0=f0, g0=g0, layers=layers)
+    z_shared = rng.standard_normal(1) if spec.copula_rho != 0.0 else None
+
+    def poly(alpha, c):
+        return TropicalPolynomial._from_arrays(alpha[0].astype(np.int64), c[0])
+
+    init = list(_draw_init(spec, rng, 1, z_shared))
+    layers = []
+    for l in range(1, spec.depth + 1):
+        a, b, t = _draw_layer(spec, l, rng, 1, z_shared)
+        layers.append(LayerSample.from_weights(a[0], b[0], t[0]))
+    return NetworkSample(f0=tuple(poly(alpha, c) for c, alpha, _, _ in init),
+                         g0=tuple(poly(alpha_g, c_g) for _, _, c_g, alpha_g in init),
+                         layers=tuple(layers))
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +511,18 @@ def forward_relu_direct(nu: np.ndarray, layer: LayerSample) -> np.ndarray:
     return np.maximum(nu @ layer.a.T + layer.b, layer.t)
 
 
-def run_network(spec: NetworkSpec, x, seed: int) -> NetworkRun:
-    """Sample a network and push input ``x`` through the pair recursion."""
+def _as_input(spec: NetworkSpec, x) -> np.ndarray | None:
+    if x is None:
+        return None
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != spec.d:
         raise SpecError(f"input has dimension {x.shape[0]}, expected {spec.d}")
+    return x
+
+
+def run_network(spec: NetworkSpec, x, seed: int) -> NetworkRun:
+    """Sample a network and push input ``x`` through the pair recursion."""
+    x = _as_input(spec, x)
     net = sample_network(spec, seed)
     f = np.array([p(x) for p in net.f0])
     g = np.array([p(x) for p in net.g0])
@@ -568,38 +598,6 @@ def _draw_inputs(spec: NetworkSpec, rng, n: int) -> np.ndarray:
     return rng.uniform(box[:, 0], box[:, 1], size=(n, spec.d))
 
 
-def _batch_init(spec: NetworkSpec, rng, xb: np.ndarray, z_shared) -> np.ndarray:
-    """Layer-0 output nu = F0(x) - G0(x) of each draw."""
-    n = xb.shape[0]
-    if spec.init_mode == "identity":
-        return xb
-    rho = spec.copula_rho
-    z = z_shared[:, None] if z_shared is not None else None
-    nu = np.empty((n, spec.d))
-    for j in range(spec.d):
-        s_f, s_g = spec.coeff_specs("f")[j], spec.coeff_specs("g")[j]
-        t_f, t_g = spec.exponent_specs("f")[j], spec.exponent_specs("g")[j]
-        c = s_f.sample(rng, (n, spec.r), z, rho)
-        c_g = s_g.sample(rng, (n, spec.r), z, rho)
-        alpha = t_f.sample_exponents(rng, (n, spec.r), spec.d)
-        alpha_g = t_g.sample_exponents(rng, (n, spec.r), spec.d)
-        nu[:, j] = np.max(c + np.einsum("nrd,nd->nr", alpha, xb), axis=1) \
-            - np.max(c_g + np.einsum("nrd,nd->nr", alpha_g, xb), axis=1)
-    return nu
-
-
-def _batch_weight_dtype(dist: DistributionSpec):
-    """Integer dtype of batched weight draws, or None for float draws.
-
-    A bounded-uniform-integer law whose range fits int8 is drawn as int8,
-    which is cheaper to draw and to multiply; a wider one as int64.
-    """
-    if dist.kind != "bounded-uniform-integer":
-        return None
-    small = np.iinfo(np.int8)
-    return np.int8 if small.min <= dist.lo and dist.hi <= small.max else np.int64
-
-
 def _relu_step(nu: np.ndarray, a: np.ndarray, b, t) -> np.ndarray:
     """Direct recursion nu' = max(A nu + b, t) with one A per draw.
 
@@ -611,26 +609,16 @@ def _relu_step(nu: np.ndarray, a: np.ndarray, b, t) -> np.ndarray:
 
 def _batch_block(spec: NetworkSpec, rng, n: int, x: np.ndarray | None):
     """Simulate ``n`` independent draws; returns per-layer nu arrays 1..L."""
-    rho = spec.copula_rho
-    z_shared = rng.standard_normal(n) if rho != 0.0 else None
-    zmat = z_shared[:, None, None] if z_shared is not None else None
-    zvec = z_shared[:, None] if z_shared is not None else None
+    z_shared = rng.standard_normal(n) if spec.copula_rho != 0.0 else None
     xb = np.tile(x, (n, 1)) if x is not None else _draw_inputs(spec, rng, n)
-    nu = _batch_init(spec, rng, xb, z_shared)
+    nu = np.empty((n, spec.d))
+    for j, (c, alpha, c_g, alpha_g) in enumerate(_draw_init(spec, rng, n, z_shared)):
+        nu[:, j] = np.max(c + np.einsum("nrd,nd->nr", alpha, xb), axis=1) \
+            - np.max(c_g + np.einsum("nrd,nd->nr", alpha_g, xb), axis=1)
     nus = []
     for l in range(1, spec.depth + 1):
-        n_out, n_in = spec.widths[l], spec.widths[l - 1]
-        w = spec.weight_dist_for(l)
-        a = w.sample(rng, (n, n_out, n_in), zmat, rho, dtype=_batch_weight_dtype(w))
-        b = spec.bias_dist_for(l).sample(rng, (n, n_out), zvec, rho)
-        mode = spec.threshold_mode(l)
-        if mode == "relu":
-            t = 0.0
-        elif mode == "identity":
-            t = -np.inf
-        else:
-            t = spec.threshold_dist.sample(rng, (n, n_out), zvec, rho)
-        nu = _relu_step(nu, a, b, t)
+        # One layer at a time: a wide block's weights are large.
+        nu = _relu_step(nu, *_draw_layer(spec, l, rng, n, z_shared))
         nus.append(nu)
     return nus
 
@@ -641,15 +629,6 @@ def _simulate_block(spec: NetworkSpec, n: int, seed: int, block_index: int,
     # it, and not the public simulate_block, so that a caller wrapping the
     # public functions sees each draw once.
     return _batch_block(spec, stream(seed, tag, block_index), n, x)
-
-
-def _as_input(spec: NetworkSpec, x) -> np.ndarray | None:
-    if x is None:
-        return None
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != spec.d:
-        raise SpecError(f"input has dimension {x.shape[0]}, expected {spec.d}")
-    return x
 
 
 def simulate_layer_outputs(spec: NetworkSpec, n: int, seed: int,

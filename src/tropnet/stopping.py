@@ -249,21 +249,6 @@ class FiniteSupportProcess:
         return out
 
 
-def random_finite_support_process(seed: int, horizon: int,
-                                  support: int) -> FiniteSupportProcess:
-    """Random benchmark instance with positive utilities in (0, 2)."""
-    rng = np.random.default_rng(seed)
-    vals = tuple(np.sort(rng.uniform(0.05, 2.0, size=support)) for _ in range(horizon))
-    initial = rng.dirichlet(np.ones(support) * 2.0) * 0.9 + 0.1 / support
-    initial /= initial.sum()
-    trans = []
-    for _ in range(horizon - 1):
-        t = rng.dirichlet(np.ones(support) * 2.0, size=support) * 0.9 + 0.1 / support
-        t /= t.sum(axis=1, keepdims=True)
-        trans.append(t)
-    return FiniteSupportProcess(values=vals, initial=initial, transitions=tuple(trans))
-
-
 # ---------------------------------------------------------------------------
 # Solutions
 # ---------------------------------------------------------------------------
@@ -320,27 +305,6 @@ def stopping_time(gammas: Sequence[float], snell: Sequence[float],
         if snell[l] <= gammas[l] * (1.0 + eps_stop) + 0.0:
             return l + 1
     return len(gammas)
-
-
-def stopping_time_batched(gammas: Sequence[float], snell: Sequence[float],
-                          batch_length: int, eps_stop: float = 1e-9) -> int:
-    """Forward scan in equal batches; equivalent to the full scan.
-
-    Stages are examined batch by batch and the scan halts inside the first
-    batch containing a touch point, which by earliest-hit equivalence
-    returns the same depth as scanning every stage.
-    """
-    gammas = np.asarray(gammas, dtype=float)
-    snell = np.asarray(snell, dtype=float)
-    horizon = len(gammas)
-    if batch_length < 1:
-        raise StoppingError("batch length must be positive")
-    for start in range(0, horizon, batch_length):
-        sl = slice(start, min(start + batch_length, horizon))
-        hit = snell[sl] <= gammas[sl] * (1.0 + eps_stop)
-        if hit.any():
-            return start + int(np.argmax(hit)) + 1
-    return horizon
 
 
 # ---------------------------------------------------------------------------
@@ -669,25 +633,3 @@ def select_layers(method: str, *, gamma=None, process: FiniteSupportProcess = No
         return sol
     raise StoppingError(f"unknown method {method!r}")
 
-
-# ---------------------------------------------------------------------------
-# Envelope diagnostics
-# ---------------------------------------------------------------------------
-
-def stopped_envelope_means(process: FiniteSupportProcess,
-                           solution: StoppingSolution) -> np.ndarray:
-    """E[S_{k and tau}] for k = 1..horizon, computed exactly over paths.
-
-    The stopped envelope sequence is a strong martingale, so these means
-    are all equal for an exact solution.
-    """
-    atoms, probs, _ = process.enumerate_paths()
-    stages = induction_stop_stages(process, solution)
-    horizon = process.horizon
-    means = np.zeros(horizon)
-    for k in range(horizon):
-        idx = np.minimum(k, stages)
-        s_vals = np.array([solution.snell_atoms[i][atoms[p, i]]
-                           for p, i in enumerate(idx)])
-        means[k] = float(s_vals @ probs)
-    return means

@@ -111,16 +111,6 @@ def trop_mul(a, b) -> TropicalValue:
     return TropicalValue(a.value + b.value)
 
 
-def trop_div(a, b) -> TropicalValue:
-    """a ⊘ b = a - b.  The denominator must be finite."""
-    a, b = as_tropical(a), as_tropical(b)
-    if b.is_bottom:
-        raise BottomValueError("tropical division by bottom is undefined")
-    if a.is_bottom:
-        return BOTTOM
-    return TropicalValue(a.value - b.value)
-
-
 def trop_pow(a, b: int) -> TropicalValue:
     """Tropical exponentiation a^{⊙b} for integer b.
 
@@ -592,7 +582,3 @@ def polynomial_from_dict(data: dict) -> TropicalPolynomial:
 
 def polynomial_to_json(f: TropicalPolynomial) -> str:
     return json.dumps(polynomial_to_dict(f), sort_keys=True)
-
-
-def polynomial_from_json(text: str) -> TropicalPolynomial:
-    return polynomial_from_dict(json.loads(text))

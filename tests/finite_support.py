@@ -1,0 +1,44 @@
+"""Finite-support stopping instances and an exact oracle, for the tests.
+
+``random_finite_support_process`` draws the benchmark instances of the
+stopping tests (acceptance tests 05 and 06 among them);
+``stopped_envelope_means`` is an independent check of
+``backward_induction_exact``.
+"""
+
+import numpy as np
+
+from tropnet.stopping import FiniteSupportProcess, StoppingSolution, induction_stop_stages
+
+
+def random_finite_support_process(seed: int, horizon: int,
+                                  support: int) -> FiniteSupportProcess:
+    """Random benchmark instance with positive utilities in (0, 2)."""
+    rng = np.random.default_rng(seed)
+    vals = tuple(np.sort(rng.uniform(0.05, 2.0, size=support)) for _ in range(horizon))
+    initial = rng.dirichlet(np.ones(support) * 2.0) * 0.9 + 0.1 / support
+    initial /= initial.sum()
+    trans = []
+    for _ in range(horizon - 1):
+        t = rng.dirichlet(np.ones(support) * 2.0, size=support) * 0.9 + 0.1 / support
+        t /= t.sum(axis=1, keepdims=True)
+        trans.append(t)
+    return FiniteSupportProcess(values=vals, initial=initial, transitions=tuple(trans))
+
+
+def stopped_envelope_means(process: FiniteSupportProcess,
+                           solution: StoppingSolution) -> np.ndarray:
+    """E[S_{k and tau}] for k = 1..horizon, computed exactly over paths.
+
+    The stopped envelope sequence is a strong martingale, so these means
+    are all equal for an exact solution.
+    """
+    atoms, probs, _ = process.enumerate_paths()
+    stages = induction_stop_stages(process, solution)
+    means = np.zeros(process.horizon)
+    for k in range(process.horizon):
+        idx = np.minimum(k, stages)
+        s_vals = np.array([solution.snell_atoms[i][atoms[p, i]]
+                           for p, i in enumerate(idx)])
+        means[k] = float(s_vals @ probs)
+    return means

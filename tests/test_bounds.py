@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom, norm
 
+import tropnet.bounds
 from tropnet.bounds import (
     BoundReport,
     convex_order_check,
@@ -249,27 +250,6 @@ class TestConvexOrder:
             convex_order_check(np.zeros((100, 2)), np.zeros((100, 3)))
 
 
-class TestMartingaleSpec:
-    def test_walk_satisfies_unit_increment_claim(self):
-        from tropnet.bounds import MartingaleSpec
-        traj = simulate_random_walk(steps=6, n=500, seed=7, dim=2)
-        MartingaleSpec(kind="raw", increment_bound=1.0, width=2,
-                       grade="strong").validate_against(traj)
-
-    def test_undersized_bound_rejected(self):
-        from tropnet.bounds import MartingaleSpec
-        traj = simulate_random_walk(steps=6, n=500, seed=8, dim=1)
-        spec = MartingaleSpec(kind="raw", increment_bound=0.5, width=1)
-        with pytest.raises(ValueError):
-            spec.validate_against(traj)
-
-    def test_width_must_match(self):
-        from tropnet.bounds import MartingaleSpec
-        traj = simulate_random_walk(steps=3, n=100, seed=9, dim=2)
-        with pytest.raises(ValueError):
-            MartingaleSpec(width=3).validate_against(traj)
-
-
 class TestMartingaleGrades:
     def test_random_walk_not_falsified(self):
         traj = simulate_random_walk(steps=5, n=8000, seed=0, dim=2)
@@ -290,6 +270,22 @@ class TestMartingaleGrades:
         traj = simulate_random_walk(steps=10, n=500, seed=3, dim=1)
         inc = np.abs(np.diff(traj[:, :, 0], axis=1))
         assert inc.max() == 1.0 and inc.min() == 1.0
+
+    def test_pair_seeds_never_repeat_across_runs(self, monkeypatch):
+        # Seed arithmetic gave run 0's pair (0, 2) and run 1's pair (0, 1)
+        # the same convex-order seed.
+        seen = []
+
+        def recording(s1, s2, k, alpha, seed):
+            seen.append(seed)
+            return convex_order_check(s1, s2, k=k, alpha=alpha, seed=seed)
+
+        monkeypatch.setattr(tropnet.bounds, "convex_order_check", recording)
+        traj = simulate_random_walk(steps=4, n=200, seed=5, dim=1)
+        for run_seed in (0, 1):
+            martingale_grade_check(traj, seed=run_seed)
+        assert len(seen) == 2 * 10
+        assert len(set(seen)) == len(seen)
 
 
 class TestWalkTailBound:

@@ -16,6 +16,8 @@ from tropnet.harness import (
     parse_config,
     run_subcommand,
 )
+from tropnet.networks import network_spec_from_dict, run_network, run_symbolic
+from tropnet.seeding import item_seed
 
 
 def network_dict(widths=(2, 3, 3), last_identity=False):
@@ -209,6 +211,32 @@ class TestClassifySeeding:
         inputs = [[0.2, -0.4], [0.8, 0.8], [-0.5, 0.1]]
         assert self._audit(tmp_path, 3, inputs) == \
             self._audit(tmp_path, 3, inputs, workers=2)
+
+
+class TestItemSeeds:
+    def test_simulate_writes_the_seed_of_each_draw(self, tmp_path):
+        net = network_dict()
+        cfg = parse_config("simulate", {"seed": 4, "network": net, "simulate": {"n": 3}})
+        run_subcommand("simulate", cfg, out_dir=tmp_path)
+        runs = json.loads((tmp_path / "runs.json").read_text())
+        assert [r["seed"] for r in runs] == [item_seed(4, "simulate", i) for i in range(3)]
+        spec = network_spec_from_dict(net)
+        for r in runs:
+            again = run_network(spec, r["x"], r["seed"])
+            assert [list(v) for v in again.nu] == r["nu"]
+
+    def test_sampled_regions_write_the_seed_of_each_draw(self, tmp_path):
+        net = network_dict(widths=(2, 2, 1), last_identity=True)
+        cfg = parse_config("regions", {"seed": 4, "network": net,
+                                       "regions": {"sample": {"count": 3}}})
+        run_subcommand("regions", cfg, out_dir=tmp_path)
+        rows = [line.split(",") for line in
+                (tmp_path / "regions.csv").read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [item_seed(4, "regions", i) for i in range(3)]
+        spec = network_spec_from_dict(net)
+        for seed, monomials, _ in rows:
+            f = run_symbolic(spec, int(seed)).f_polys[-1][0]
+            assert f.num_monomials == int(monomials)
 
 
 class TestExitCodes:

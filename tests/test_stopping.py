@@ -20,13 +20,12 @@ from tropnet.stopping import (
     gamma_value,
     induction_stop_stages,
     loss_mse,
-    random_finite_support_process,
     select_layers,
     simulate_gamma_trajectories,
-    stopped_envelope_means,
     stopping_time,
-    stopping_time_batched,
 )
+
+from finite_support import random_finite_support_process, stopped_envelope_means
 
 
 class TestLoss:
@@ -186,16 +185,6 @@ class TestStoppingTime:
         gam = [1.0, 2.0, 5.0]
         snell = [5.0, 5.0, 5.0]
         assert stopping_time(gam, snell) == 3
-
-    def test_batched_scan_equivalence(self):
-        rng = stream(0, "scan")
-        for _ in range(50):
-            horizon = int(rng.integers(2, 30))
-            gam = rng.uniform(0, 1, horizon)
-            snell = np.maximum.accumulate(gam[::-1])[::-1]
-            full = stopping_time(gam, snell)
-            for batch in (1, 2, 3, 7, horizon):
-                assert stopping_time_batched(gam, snell, batch) == full
 
 
 class TestGammaTrajectory:

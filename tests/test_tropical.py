@@ -1,5 +1,6 @@
 """Max-plus arithmetic, polynomials, and region counting."""
 
+import json
 import math
 
 import numpy as np
@@ -22,11 +23,10 @@ from tropnet.tropical import (
     poly_add,
     poly_mul,
     poly_weighted_combine,
-    polynomial_from_json,
+    polynomial_from_dict,
     polynomial_to_json,
     prune_redundant_monomials,
     trop_add,
-    trop_div,
     trop_mul,
     trop_pow,
 )
@@ -55,6 +55,19 @@ def random_poly(rng, d, r, coeff_lo=-2.0, coeff_hi=2.0, exp_hi=2):
     return poly(*terms)
 
 
+def tropical_values():
+    """Bottom or a finite value."""
+    return st.one_of(st.just(BOTTOM),
+                     st.floats(-1e3, 1e3, allow_nan=False).map(TropicalValue))
+
+
+def near(u, v):
+    # Max is exact; the additive carrier of the product needs float slack.
+    if u.is_bottom or v.is_bottom:
+        return u == v
+    return math.isclose(u.value, v.value, rel_tol=1e-12, abs_tol=1e-9)
+
+
 class TestScalarOps:
     def test_trop_add(self):
         assert trop_add(3, 5) == TropicalValue(5.0)
@@ -77,15 +90,17 @@ class TestScalarOps:
         assert trop_pow(3, -2) == TropicalValue(-6.0)
 
     def test_div_then_mul_recovers(self):
+        # Division by b is multiplication by its inverse b^{-1} = -b.
         rng = np.random.default_rng(0)
         for _ in range(100):
             a, b = rng.normal(size=2) * 5
-            back = trop_mul(trop_div(a, b), b)
+            back = trop_mul(trop_mul(a, trop_pow(b, -1)), b)
             assert math.isclose(back.value, a, abs_tol=1e-12)
 
     def test_div_by_bottom_is_an_error(self):
-        with pytest.raises(BottomValueError):
-            trop_div(3, BOTTOM)
+        # Bottom has no inverse.
+        with pytest.raises(UndefinedPowerError):
+            trop_mul(3, trop_pow(BOTTOM, -1))
 
     def test_semiring_laws_on_sampled_triples(self):
         def close(u, v):
@@ -114,6 +129,25 @@ class TestScalarOps:
             a = TropicalValue(float(v))
             assert trop_add(BOTTOM, a) == a
             assert trop_mul(ZERO, a) == a
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(tropical_values(), min_size=3, max_size=3),
+           st.integers(0, 4), st.integers(0, 4))
+    def test_semiring_laws(self, abc, m, n):
+        a, b, c = abc
+        assert trop_add(trop_add(a, b), c) == trop_add(a, trop_add(b, c))
+        assert near(trop_mul(trop_mul(a, b), c), trop_mul(a, trop_mul(b, c)))
+        assert trop_add(a, b) == trop_add(b, a)
+        assert trop_mul(a, b) == trop_mul(b, a)
+        assert near(trop_mul(a, trop_add(b, c)), trop_add(trop_mul(a, b), trop_mul(a, c)))
+        assert trop_add(a, BOTTOM) == a
+        assert trop_mul(a, ZERO) == a
+        assert trop_mul(a, BOTTOM) == BOTTOM
+        # Powers: a^0 is the unit, a^1 = a, and powers add and distribute.
+        assert trop_pow(a, 0) == ZERO
+        assert trop_pow(a, 1) == a
+        assert near(trop_mul(trop_pow(a, m), trop_pow(a, n)), trop_pow(a, m + n))
+        assert near(trop_pow(trop_mul(a, b), n), trop_mul(trop_pow(a, n), trop_pow(b, n)))
 
     def test_nonfinite_floats_are_rejected(self):
         with pytest.raises(ValueError):
@@ -442,42 +476,45 @@ class TestUpperHull:
             assert count_linear_regions(f, method="grid-oracle").count == len(winners)
 
 
+def from_json(text):
+    return polynomial_from_dict(json.loads(text))
+
+
 class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(13)
         f = random_poly(rng, 2, 4)
-        again = polynomial_from_json(polynomial_to_json(f))
+        again = from_json(polynomial_to_json(f))
         assert again == f
 
     def test_bottom_coefficient_round_trip(self):
         f = TropicalPolynomial([mono(None, (0, 0))])
-        again = polynomial_from_json(polynomial_to_json(f))
+        again = from_json(polynomial_to_json(f))
         assert again.is_bottom
         assert again == f and hash(again) == hash(f)
         assert '"c": "bottom"' in polynomial_to_json(f)
         # A bottom row next to finite ones is dropped on construction.
         g = poly((None, (2, 1)), (1.5, (0, 1)))
-        assert polynomial_from_json(polynomial_to_json(g)) == g == poly((1.5, (0, 1)))
+        assert from_json(polynomial_to_json(g)) == g == poly((1.5, (0, 1)))
 
     def test_reading_drops_bottom_rows_and_merges_repeats(self):
         text = ('{"d": 1, "monomials": [{"c": "bottom", "alpha": [3]}, '
                 '{"c": 1.0, "alpha": [1]}, {"c": 2.0, "alpha": [1]}]}')
-        assert polynomial_from_json(text) == poly((2.0, (1,)))
+        assert from_json(text) == poly((2.0, (1,)))
 
     def test_reading_rejects_bad_entries(self):
         with pytest.raises(ValueError):
-            polynomial_from_json('{"d": 1, "monomials": [{"c": 0, "alpha": [-1]}]}')
+            from_json('{"d": 1, "monomials": [{"c": 0, "alpha": [-1]}]}')
         with pytest.raises(ValueError):
-            polynomial_from_json('{"d": 1, "monomials": [{"c": "inf", "alpha": [1]}]}')
+            from_json('{"d": 1, "monomials": [{"c": "inf", "alpha": [1]}]}')
         with pytest.raises(ValueError):
-            polynomial_from_json('{"d": 1, "monomials": []}')
+            from_json('{"d": 1, "monomials": []}')
 
     def test_schema_shape(self):
-        import json
         f = poly((1.5, (2, 0)))
         data = json.loads(polynomial_to_json(f))
         assert data == {"d": 2, "monomials": [{"c": 1.5, "alpha": [2, 0]}]}
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            polynomial_from_json('{"d": 2, "monomials": [{"c": 0, "alpha": [1]}]}')
+            from_json('{"d": 2, "monomials": [{"c": 0, "alpha": [1]}]}')
