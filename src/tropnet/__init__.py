@@ -90,9 +90,7 @@ from .classifier import (
 from .stopping import (
     FiniteSupportProcess,
     GammaSpec,
-    GammaTrajectory,
     OracleSolution,
-    PerfectFitError,
     ShapeReport,
     StateExplosionError,
     StoppingSolution,
@@ -104,7 +102,6 @@ from .stopping import (
     loss_mse,
     select_layers,
     simulate_gamma_trajectories,
-    stopping_time,
 )
 from .seeding import stream
 

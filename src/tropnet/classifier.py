@@ -40,7 +40,6 @@ class ScoreSpec:
     b: float = 1.0
     c: float = 0.5
     table: tuple = ()      # ((v, s), ...) strictly increasing in both coordinates
-    injective: bool = True
 
     def __post_init__(self):
         if self.kind not in ("sigmoid", "clamped-identity", "table"):
@@ -56,8 +55,8 @@ class ScoreSpec:
             ss = [s for _, s in self.table]
             if any(v2 <= v1 for v1, v2 in zip(vs, vs[1:])):
                 raise ScoreSpecError("table knots must be strictly increasing in v")
-            if self.injective and any(s2 <= s1 for s1, s2 in zip(ss, ss[1:])):
-                raise ScoreSpecError("an injective table must be strictly increasing")
+            if any(s2 <= s1 for s1, s2 in zip(ss, ss[1:])):
+                raise ScoreSpecError("table scores must be strictly increasing")
             if min(ss) < self.a or max(ss) > self.b:
                 raise ScoreSpecError("table values leave the declared range [a, b]")
 

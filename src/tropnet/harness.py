@@ -193,15 +193,6 @@ def _validate_options(subcommand: str, cfg: ExperimentConfig):
                               "network martingale checks need a network spec")
 
 
-def load_config(subcommand: str, path) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("config", f"invalid JSON: {exc}") from exc
-    return parse_config(subcommand, data)
-
-
 # ---------------------------------------------------------------------------
 # Worker pool
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .seeding import block_indices, stream
 from .tropical import (
     BOTTOM,
     TropicalPolynomial,
-    TropicalRational,
     TropicalValue,
     poly_add,
     poly_weighted_combine,
@@ -546,9 +545,6 @@ class SymbolicRun:
     f_polys: tuple[tuple[TropicalPolynomial, ...], ...]  # layers 0..L
     g_polys: tuple[tuple[TropicalPolynomial, ...], ...]
     layers: tuple[LayerSample, ...]
-
-    def nu_rational(self, layer: int, unit: int = 0) -> TropicalRational:
-        return TropicalRational(self.f_polys[layer][unit], self.g_polys[layer][unit])
 
     def evaluate_nu(self, layer: int, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -9,9 +9,9 @@ sup_tau E[gamma(tau)], solved by backward induction of the value envelope
     S_L = max(gamma(L), E[S_{L+1} | history])   below it,
 
 with the selected depth the earliest L where the envelope touches the
-payoff.  Three solvers are provided: exact atom conditioning for
-finite-support processes, least-squares Monte Carlo for simulated ones,
-and the trivial suffix scan for deterministic sequences.  A brute-force
+payoff.  Two solvers are provided: exact atom conditioning for
+finite-support processes (a deterministic sequence is the one-atom case),
+and least-squares Monte Carlo for simulated ones.  A brute-force
 enumerator over every history-measurable stopping rule serves as the
 independent oracle on small instances.
 """
@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -32,97 +32,65 @@ class StoppingError(ValueError):
     pass
 
 
-class PerfectFitError(StoppingError):
-    """Zero loss makes the reciprocal utility diverge."""
-
-
 class StateExplosionError(StoppingError):
     """The exhaustive oracle would enumerate too many stopping rules."""
+
+
+#: Relative tolerance of the stop rule S_L = gamma_L.
+EPS_STOP = 1e-9
 
 
 # ---------------------------------------------------------------------------
 # Utility process construction
 # ---------------------------------------------------------------------------
 
-def loss_mse(nu: np.ndarray, y_star: np.ndarray) -> float:
-    """Mean squared error (1/p) ||nu - y*||_2^2."""
-    nu = np.asarray(nu, dtype=float).reshape(-1)
-    y_star = np.asarray(y_star, dtype=float).reshape(-1)
-    if nu.shape != y_star.shape:
-        raise StoppingError(f"output dim {nu.shape[0]} != target dim {y_star.shape[0]}")
-    return float(np.sum((nu - y_star) ** 2) / nu.shape[0])
+def loss_mse(nu, y_star):
+    """Mean squared error (1/p) ||nu - y*||_2^2 along the last axis."""
+    nu = np.asarray(nu, dtype=float)
+    y_star = np.asarray(y_star, dtype=float)
+    if nu.shape[-1] != y_star.shape[-1]:
+        raise StoppingError(f"output dim {nu.shape[-1]} != target dim {y_star.shape[-1]}")
+    return np.sum((nu - y_star) ** 2, axis=-1) / nu.shape[-1]
 
 
 @dataclass(frozen=True)
 class GammaSpec:
     """Shape of the per-depth utility gamma(L) = g(LOSS(L)) * h(L).
 
-    The default pairing is the reciprocal utility g(x) = 1/x with the
-    penalty h(L) = 1/(c sqrt(L)); both maps may be replaced by callables.
+    g is the reciprocal utility g(x) = 1/x and h the penalty
+    h(L) = 1/(c sqrt(L)) with c = ``penalty_c``.
     """
 
     horizon: int
-    utility: str | Callable[[float], float] = "reciprocal"
     penalty_c: float = 1.0
-    penalty: Callable[[int], float] | None = None
-    loss_kind: str = "mse"
 
     def __post_init__(self):
         if self.horizon < 1:
             raise StoppingError("horizon must be at least 1")
-        if isinstance(self.utility, str) and self.utility != "reciprocal":
-            raise StoppingError(f"unknown utility {self.utility!r}")
-        if self.penalty is None and self.penalty_c <= 0:
+        if self.penalty_c <= 0:
             raise StoppingError("penalty constant must be positive")
 
-    def g(self, loss: float) -> float:
-        if callable(self.utility):
-            return float(self.utility(loss))
-        if loss == 0.0:
-            raise PerfectFitError("zero loss: reciprocal utility diverges")
-        if loss < 0:
-            raise StoppingError(f"loss must be positive, got {loss}")
-        return 1.0 / loss
+    def g(self, loss):
+        """1/loss; a zero loss (perfect fit) gives +inf."""
+        loss = np.asarray(loss, dtype=float)
+        if np.any(loss < 0):
+            raise StoppingError("loss must be nonnegative")
+        with np.errstate(divide="ignore"):
+            return 1.0 / loss
 
-    def h(self, layer: int) -> float:
-        if self.penalty is not None:
-            return float(self.penalty(layer))
-        return 1.0 / (self.penalty_c * math.sqrt(layer))
+    def h(self, layer):
+        return 1.0 / (self.penalty_c * np.sqrt(layer))
 
 
-def gamma_value(spec: GammaSpec, layer: int, loss: float) -> float:
-    """Utility of stopping at ``layer`` given the realized loss there."""
-    if not 1 <= layer <= spec.horizon:
+def gamma_value(spec: GammaSpec, layer, loss):
+    """Utility of stopping at ``layer`` given the realized loss there.
+
+    Broadcasts over arrays of layers and losses.
+    """
+    layer = np.asarray(layer)
+    if np.any(layer < 1) or np.any(layer > spec.horizon):
         raise StoppingError(f"layer {layer} outside 1..{spec.horizon}")
     return spec.g(loss) * spec.h(layer)
-
-
-@dataclass(frozen=True)
-class GammaTrajectory:
-    """One realized utility path; the information at depth L is its prefix."""
-
-    values: tuple
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if not all(math.isfinite(v) for v in vals):
-            raise StoppingError("utilities must be finite (integrability)")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def horizon(self) -> int:
-        return len(self.values)
-
-    def prefix(self, depth: int) -> tuple:
-        """Everything a depth-``depth`` network reveals about the path."""
-        return self.values[:depth]
-
-
-def _as_trajectory_matrix(trajectories) -> np.ndarray:
-    if isinstance(trajectories, (list, tuple)) and len(trajectories) \
-            and isinstance(trajectories[0], GammaTrajectory):
-        return np.array([t.values for t in trajectories])
-    return np.atleast_2d(np.asarray(trajectories, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -263,7 +231,8 @@ def _json_float(x) -> float | str:
 class StoppingSolution:
     """Envelope values, selected depth, and attained utility."""
 
-    method: str   # "exact-finite-support" | "least-squares-MC" | "deterministic"
+    method: str   # "exact-finite-support" | "deterministic" | "least-squares-MC"
+                  # | "lsmc-short-circuit"
     value: float
     snell_mean: tuple          # E[S_L] per depth L = 1..horizon
     tau_mean: float
@@ -289,39 +258,24 @@ class StoppingSolution:
         }
 
 
-def stopping_time(gammas: Sequence[float], snell: Sequence[float],
-                  eps_stop: float = 1e-9) -> int:
-    """Earliest depth where the envelope touches the payoff (1-based).
-
-    Uses the relative-tolerance equality S_L <= gamma_L * (1 + eps_stop);
-    attainment at the horizon is guaranteed because S at the horizon IS
-    the payoff.
-    """
-    gammas = np.asarray(gammas, dtype=float)
-    snell = np.asarray(snell, dtype=float)
-    if gammas.shape != snell.shape:
-        raise StoppingError("payoff and envelope lengths differ")
-    for l in range(len(gammas)):
-        if snell[l] <= gammas[l] * (1.0 + eps_stop) + 0.0:
-            return l + 1
-    return len(gammas)
-
-
 # ---------------------------------------------------------------------------
 # Exact backward induction
 # ---------------------------------------------------------------------------
 
-def backward_induction_exact(process: FiniteSupportProcess,
-                             eps_stop: float = 1e-9) -> StoppingSolution:
-    """Exact envelope by atom conditioning on a finite-support process."""
+def backward_induction_exact(process: FiniteSupportProcess) -> StoppingSolution:
+    """Exact envelope by atom conditioning on a finite-support process.
+
+    The rule stops at the first stage where S_L - gamma_L <= EPS_STOP *
+    |gamma_L|; at the horizon S_L = gamma_L, so every path stops by then.
+    """
     horizon = process.horizon
     snell = [None] * horizon
     snell[-1] = process.values[-1].copy()
     for l in range(horizon - 2, -1, -1):
         cont = process.transitions[l] @ snell[l + 1]
         snell[l] = np.maximum(process.values[l], cont)
-    stop_rule = tuple(snell[l] <= process.values[l] * (1.0 + eps_stop)
-                      for l in range(horizon))
+    stop_rule = tuple(snell[l] - v <= EPS_STOP * np.abs(v)
+                      for l, v in enumerate(process.values))
 
     # Forward pass for the stopping-depth distribution and E[S_L].
     dist = process.initial.copy()
@@ -339,10 +293,7 @@ def backward_induction_exact(process: FiniteSupportProcess,
 
     value = float(process.initial @ snell[0])
     tau_mean = float(np.sum((np.arange(horizon) + 1) * tau_probs))
-    tau = None
-    if process.is_deterministic:
-        tau = stopping_time(np.concatenate(process.values),
-                            np.array([s[0] for s in snell]), eps_stop)
+    tau = int(np.argmax(tau_probs)) + 1 if process.is_deterministic else None
     return StoppingSolution(
         method="exact-finite-support",
         value=value,
@@ -354,19 +305,6 @@ def backward_induction_exact(process: FiniteSupportProcess,
         snell_atoms=tuple(snell),
         stop_rule=stop_rule,
     )
-
-
-def induction_stop_stages(process: FiniteSupportProcess,
-                          solution: StoppingSolution) -> np.ndarray:
-    """Stopping stage (0-based) of the envelope rule along every atom path."""
-    atoms, _, _ = process.enumerate_paths()
-    stages = np.full(len(atoms), process.horizon - 1, dtype=int)
-    for p, path in enumerate(atoms):
-        for l in range(process.horizon):
-            if solution.stop_rule[l][path[l]]:
-                stages[p] = l
-                break
-    return stages
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +408,9 @@ def backward_induction_lsmc(trajectories: np.ndarray,
     filtration), fitted backward on a training half; the induced stopping
     rule "stop when gamma >= fitted continuation" is then evaluated on the
     held-out half, whose mean stopped utility is the reported value.
-    Accepts an (n, horizon) array or a list of GammaTrajectory paths.
+    ``trajectories`` is an (n, horizon) array.
     """
-    gam = _as_trajectory_matrix(trajectories)
+    gam = np.atleast_2d(np.asarray(trajectories, dtype=float))
     n, horizon = gam.shape
     if n < 1000:
         raise StoppingError(f"LSMC needs at least 1000 trajectories, got {n}")
@@ -532,7 +470,7 @@ def backward_induction_lsmc(trajectories: np.ndarray,
 
 def simulate_gamma_trajectories(spec: NetworkSpec, gamma_spec: GammaSpec,
                                 y_star: Sequence[float], n: int,
-                                seed: int = 0, x=None):
+                                seed: int = 0):
     """Realized utility per depth from nested network runs.
 
     One parameter draw per trajectory is pushed through all ``horizon``
@@ -552,18 +490,10 @@ def simulate_gamma_trajectories(spec: NetworkSpec, gamma_spec: GammaSpec,
     if y_star.shape[0] != spec.widths[-1]:
         raise SpecError("target dimension does not match the network width")
 
-    nus = simulate_layer_outputs(spec, n, seed, x=x, tag="gamma")
-    p = y_star.shape[0]
-    losses = np.stack([np.sum((nu - y_star) ** 2, axis=1) / p for nu in nus], axis=1)
-    if callable(gamma_spec.utility):
-        util = np.vectorize(gamma_spec.utility, otypes=[float])(losses)
-    else:
-        # Reciprocal utility; a zero loss shows up as an infinite utility
-        # and is handled by the caller (perfect-fit short circuit).
-        with np.errstate(divide="ignore"):
-            util = 1.0 / losses
-    penalties = np.array([gamma_spec.h(l + 1) for l in range(horizon)])
-    return util * penalties[None, :], losses
+    nus = simulate_layer_outputs(spec, n, seed, tag="gamma")
+    losses = np.stack([loss_mse(nu, y_star) for nu in nus], axis=1)
+    # A zero loss gives an infinite utility; the caller short-circuits it.
+    return gamma_value(gamma_spec, np.arange(1, horizon + 1), losses), losses
 
 
 # ---------------------------------------------------------------------------
@@ -573,42 +503,28 @@ def simulate_gamma_trajectories(spec: NetworkSpec, gamma_spec: GammaSpec,
 def select_layers(method: str, *, gamma=None, process: FiniteSupportProcess = None,
                   network_spec: NetworkSpec = None, gamma_spec: GammaSpec = None,
                   y_star=None, n_trajectories: int = 10_000,
-                  basis_degree: int = 3, seed: int = 0,
-                  eps_stop: float = 1e-9) -> StoppingSolution:
+                  basis_degree: int = 3, seed: int = 0) -> StoppingSolution:
     """Select the network depth by the chosen induction method.
 
-    * "deterministic": ``gamma`` is the realized utility sequence; the
-      envelope is the running suffix maximum.
+    * "deterministic": ``gamma`` is the realized utility sequence, solved
+      by exact induction as a one-atom process.
     * "exact": backward induction on a finite-support ``process``.
     * "lsmc": least-squares Monte Carlo on ``gamma`` given as an
       (n, horizon) trajectory array, or on trajectories simulated from
       ``network_spec`` with common random numbers across depths.
-
-    ``eps_stop`` is the relative tolerance of the stop rule S_L = gamma_L
-    of the deterministic and exact methods.
     """
     if method == "deterministic":
-        g = np.asarray(gamma, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(g)):
-            raise StoppingError("utilities must be finite (integrability)")
-        snell = np.maximum.accumulate(g[::-1])[::-1]
-        tau = stopping_time(g, snell, eps_stop)
-        return StoppingSolution(
-            method="deterministic",
-            value=float(snell[0]),
-            snell_mean=tuple(float(s) for s in snell),
-            tau_mean=float(tau),
-            tau_distribution=((tau, 1.0),),
-            tau=tau,
-        )
+        process = FiniteSupportProcess.from_deterministic(
+            np.asarray(gamma, dtype=float).reshape(-1))
+        return replace(backward_induction_exact(process), method="deterministic")
     if method == "exact":
         if process is None:
             raise StoppingError("exact induction needs a finite-support process")
-        return backward_induction_exact(process, eps_stop)
+        return backward_induction_exact(process)
     if method == "lsmc":
         extras = {}
         if gamma is not None:
-            traj = np.atleast_2d(np.asarray(gamma, dtype=float))
+            traj = gamma
         else:
             if network_spec is None or gamma_spec is None or y_star is None:
                 raise StoppingError("lsmc needs trajectories or a network "

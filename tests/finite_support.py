@@ -2,13 +2,14 @@
 
 ``random_finite_support_process`` draws the benchmark instances of the
 stopping tests (acceptance tests 05 and 06 among them);
+``induction_stop_stages`` reads the induction rule along every path, and
 ``stopped_envelope_means`` is an independent check of
 ``backward_induction_exact``.
 """
 
 import numpy as np
 
-from tropnet.stopping import FiniteSupportProcess, StoppingSolution, induction_stop_stages
+from tropnet.stopping import FiniteSupportProcess, StoppingSolution
 
 
 def random_finite_support_process(seed: int, horizon: int,
@@ -24,6 +25,19 @@ def random_finite_support_process(seed: int, horizon: int,
         t /= t.sum(axis=1, keepdims=True)
         trans.append(t)
     return FiniteSupportProcess(values=vals, initial=initial, transitions=tuple(trans))
+
+
+def induction_stop_stages(process: FiniteSupportProcess,
+                          solution: StoppingSolution) -> np.ndarray:
+    """Stopping stage (0-based) of the envelope rule along every atom path."""
+    atoms, _, _ = process.enumerate_paths()
+    stages = np.full(len(atoms), process.horizon - 1, dtype=int)
+    for p, path in enumerate(atoms):
+        for l in range(process.horizon):
+            if solution.stop_rule[l][path[l]]:
+                stages[p] = l
+                break
+    return stages
 
 
 def stopped_envelope_means(process: FiniteSupportProcess,

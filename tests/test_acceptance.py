@@ -38,13 +38,12 @@ from tropnet.stopping import (
     backward_induction_exact,
     backward_induction_lsmc,
     exhaustive_stopping_oracle,
-    induction_stop_stages,
     select_layers,
 )
 from tropnet.tropical import TropicalMonomial, TropicalPolynomial, TropicalValue, \
     count_linear_regions
 
-from finite_support import random_finite_support_process
+from finite_support import induction_stop_stages, random_finite_support_process
 
 
 def _verdict(name: str, ok: bool, detail: str = ""):

@@ -1,6 +1,7 @@
 """Closed-form bound evaluators, tail estimation, and order checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,6 +196,25 @@ class TestLayerConcentration:
         reports = verify_layer_concentration(spec, t_grid=np.linspace(0, 2 * xi, 5),
                                              n=5000, seed=2)
         assert all(r.verdict == "consistent" for r in reports)
+
+    def test_xi_is_checked_against_the_sample(self, monkeypatch):
+        # A certificate shrunk below what the draws reach must be refused,
+        # not used as the bound's xi.
+        spec = NetworkSpec(widths=(2, 3, 3), r=2,
+                           weight_dist=uniform_int(-2, 2),
+                           bias_dist=uniform_real(-1, 1),
+                           coeff_dists=uniform_real(-1, 1),
+                           exponent_dists=uniform_int(0, 2))
+        propagate = tropnet.bounds.propagate_intervals
+
+        def shrunk(s):
+            return [replace(iv, f_lo=iv.f_lo * 1e-3, f_hi=iv.f_hi * 1e-3,
+                            g_lo=iv.g_lo * 1e-3, g_hi=iv.g_hi * 1e-3)
+                    for iv in propagate(s)]
+
+        monkeypatch.setattr(tropnet.bounds, "propagate_intervals", shrunk)
+        with pytest.raises(ValueError, match="certificate violated"):
+            verify_layer_concentration(spec, t_grid=[1.0], n=2000, seed=2)
 
 
 class TestRegionCountConcentration:

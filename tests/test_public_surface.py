@@ -1,7 +1,9 @@
-"""Every name the package exports has a caller outside the tests.
+"""Every public name of the package has a caller outside the tests.
 
-A public name whose only caller is its own test is surface without a
-user: it should be deleted, or its test moved onto live code.
+A public name is one the package exports or a module-level ``def`` or
+``class`` without a leading underscore in ``src/tropnet/*.py``.  A public
+name whose only caller is its own test is surface without a user: it
+should be deleted, or its test moved onto live code.
 """
 
 import ast
@@ -11,15 +13,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tropnet"
 
-#: Paper definitions that the code still repeats inline; ROADMAP item 7
-#: has the code call them in place of deleting them.
-ALLOWED = {"gamma_value", "loss_mse"}
-
 
 def exported_names() -> list[str]:
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     return [alias.asname or alias.name for node in tree.body
             if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def defined_names() -> list[str]:
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    return [node.name for path in PACKAGE.glob("*.py")
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, kinds) and not node.name.startswith("_")]
 
 
 def has_caller(name: str) -> bool:
@@ -37,7 +42,7 @@ def has_caller(name: str) -> bool:
 
 
 def test_every_export_has_a_caller_outside_the_tests():
-    names = exported_names()
-    assert "simulate_layer_outputs" in names
-    orphans = sorted(n for n in names if n not in ALLOWED and not has_caller(n))
-    assert not orphans, f"exported names used only by tests: {orphans}"
+    names = set(exported_names()) | set(defined_names())
+    assert {"simulate_layer_outputs", "main"} <= names
+    orphans = sorted(n for n in names if not has_caller(n))
+    assert not orphans, f"public names used only by tests: {orphans}"

@@ -10,7 +10,6 @@ from tropnet.seeding import stream
 from tropnet.stopping import (
     FiniteSupportProcess,
     GammaSpec,
-    PerfectFitError,
     StateExplosionError,
     StoppingError,
     backward_induction_exact,
@@ -18,14 +17,16 @@ from tropnet.stopping import (
     check_local_monotonicity,
     exhaustive_stopping_oracle,
     gamma_value,
-    induction_stop_stages,
     loss_mse,
     select_layers,
     simulate_gamma_trajectories,
-    stopping_time,
 )
 
-from finite_support import random_finite_support_process, stopped_envelope_means
+from finite_support import (
+    induction_stop_stages,
+    random_finite_support_process,
+    stopped_envelope_means,
+)
 
 
 class TestLoss:
@@ -42,6 +43,10 @@ class TestLoss:
         with pytest.raises(StoppingError):
             loss_mse([1.0], [1.0, 2.0])
 
+    def test_last_axis(self):
+        nu = np.array([[1.0, 1.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(loss_mse(nu, [0.0, 0.0]), [1.0, 12.5])
+
 
 class TestGammaValue:
     def test_units_case(self):
@@ -54,8 +59,13 @@ class TestGammaValue:
 
     def test_zero_loss_diverges(self):
         spec = GammaSpec(horizon=10)
-        with pytest.raises(PerfectFitError):
-            gamma_value(spec, 1, 0.0)
+        assert gamma_value(spec, 1, 0.0) == math.inf
+
+    def test_broadcasts_over_layers_and_losses(self):
+        spec = GammaSpec(horizon=4, penalty_c=2.0)
+        losses = np.array([[1.0, 0.5], [0.0, 2.0]])
+        np.testing.assert_array_equal(gamma_value(spec, [1, 4], losses),
+                                      [[0.5, 0.5], [math.inf, 0.125]])
 
     def test_log_over_sqrt_peaks_at_seven(self):
         # Reciprocal utility against loss 1/log(L) realizes log(L)/sqrt(L).
@@ -121,6 +131,13 @@ class TestExactInduction:
             # base case: the envelope at the horizon IS the payoff
             np.testing.assert_array_equal(sol.snell_atoms[-1], process.values[-1])
 
+    def test_negative_utilities_every_path_stops(self):
+        # At the horizon S = gamma < 0; the rule must still stop there.
+        sol = backward_induction_exact(
+            FiniteSupportProcess.iid([-1.0, -3.0], [0.5, 0.5], 3))
+        assert sum(p for _, p in sol.tau_distribution) == pytest.approx(1.0)
+        assert 1 <= sol.tau_mean <= 3
+
     def test_positive_probabilities_required(self):
         with pytest.raises(StoppingError):
             FiniteSupportProcess(values=(np.array([1.0, 2.0]),),
@@ -177,35 +194,6 @@ class TestOracle:
             exhaustive_stopping_oracle(process)
 
 
-class TestStoppingTime:
-    def test_immediate_stop(self):
-        assert stopping_time([2.0, 1.0], [2.0, 1.0]) == 1
-
-    def test_boundary_attainment(self):
-        gam = [1.0, 2.0, 5.0]
-        snell = [5.0, 5.0, 5.0]
-        assert stopping_time(gam, snell) == 3
-
-
-class TestGammaTrajectory:
-    def test_prefix_is_the_information_set(self):
-        from tropnet.stopping import GammaTrajectory
-        traj = GammaTrajectory(values=(0.5, 1.5, 1.0))
-        assert traj.horizon == 3
-        assert traj.prefix(2) == (0.5, 1.5)
-
-    def test_infinite_values_rejected(self):
-        from tropnet.stopping import GammaTrajectory
-        with pytest.raises(StoppingError):
-            GammaTrajectory(values=(1.0, np.inf))
-
-    def test_lsmc_accepts_trajectory_objects(self):
-        from tropnet.stopping import GammaTrajectory
-        paths = [GammaTrajectory(values=(1.0, 3.0, 2.0))] * 2000
-        sol = backward_induction_lsmc(paths, basis_degree=2)
-        assert sol.value == pytest.approx(3.0, abs=1e-12)
-
-
 class TestLSMC:
     def test_deterministic_process_reproduces_exact(self):
         gammas = [1.0, 3.0, 2.0]
@@ -235,6 +223,12 @@ class TestLSMC:
         with pytest.raises(StoppingError):
             backward_induction_lsmc(np.zeros((10, 3)))
 
+    def test_infinite_values_rejected(self):
+        traj = np.ones((2000, 2))
+        traj[5, 1] = np.inf
+        with pytest.raises(StoppingError):
+            backward_induction_lsmc(traj)
+
 
 class TestSelectLayers:
     def test_log_sqrt_horizon_1000(self):
@@ -259,6 +253,12 @@ class TestSelectLayers:
     def test_infinite_gamma_rejected(self):
         with pytest.raises(StoppingError):
             select_layers("deterministic", gamma=[1.0, np.inf])
+
+    def test_negative_utilities_stop_on_a_tie(self):
+        # The envelope touches a negative payoff exactly; the rule must stop.
+        sol = select_layers("deterministic", gamma=[-1.0, -2.0])
+        assert sol.method == "deterministic"
+        assert sol.tau == 1 and sol.value == -1.0
 
     def test_lsmc_on_simulated_network(self):
         spec = NetworkSpec(widths=(2, 3, 3, 3), r=2,
