@@ -15,10 +15,8 @@ from .tropical import (
     RegionCount,
     RegionCountError,
     TropicalError,
-    TropicalMonomial,
     TropicalPolynomial,
     TropicalRational,
-    TropicalValue,
     UndefinedPowerError,
     constant_polynomial,
     count_linear_regions,

@@ -162,6 +162,11 @@ def _validate_options(subcommand: str, cfg: ExperimentConfig):
         grid = opts.get("t_grid")
         if grid is not None and (not isinstance(grid, list) or not grid):
             raise ConfigError(f"{section}.t_grid", "must be a nonempty list")
+        layers, depth = opts.get("layers"), cfg.network.depth
+        if layers is not None and (not isinstance(layers, list) or not layers or any(
+                type(l) is not int or not 1 <= l <= depth for l in layers)):
+            raise ConfigError(f"{section}.layers",
+                              f"must be a nonempty list of layers in 1..{depth}")
     elif subcommand == "classify":
         inputs = _req(opts, "inputs", section)
         if not isinstance(inputs, list) or not inputs:

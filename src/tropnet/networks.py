@@ -29,13 +29,7 @@ from scipy.special import ndtr
 from scipy.stats import truncnorm
 
 from .seeding import block_indices, stream
-from .tropical import (
-    BOTTOM,
-    TropicalPolynomial,
-    TropicalValue,
-    poly_add,
-    poly_weighted_combine,
-)
+from .tropical import TropicalPolynomial, poly_add, poly_weighted_combine
 
 
 class SpecError(ValueError):
@@ -94,6 +88,10 @@ class DistributionSpec:
                 raise SpecError("distribution bounds must be finite")
             if lo > hi:
                 raise SpecError(f"need lo <= hi, got [{lo}, {hi}]")
+            if self.kind == "bounded-uniform-integer" and not (lo.is_integer()
+                                                               and hi.is_integer()):
+                raise SpecError(f"bounded-uniform-integer needs integral bounds, "
+                                f"got [{lo}, {hi}]")
             object.__setattr__(self, "lo", lo)
             object.__setattr__(self, "hi", hi)
             if self.kind == "truncated-gaussian" and self.sigma <= 0:
@@ -281,9 +279,17 @@ class NetworkSpec:
 
         if not self.weight_dist.is_integer:
             raise SpecError("weight matrices must be integer-valued")
+        for name in ("weight_overrides", "bias_overrides"):
+            layers = [l for l, _ in getattr(self, name)]
+            if any(l not in range(1, self.depth + 1) for l in layers):
+                raise SpecError(f"{name} layers must lie in 1..{self.depth}, got {layers}")
+            if len(set(layers)) != len(layers):
+                raise SpecError(f"{name} repeat a layer: {layers}")
         for _, dist in self.weight_overrides:
             if not dist.is_integer:
                 raise SpecError("weight overrides must be integer-valued")
+        if not -1.0 <= self.copula_rho <= 1.0:
+            raise SpecError(f"copula_rho must lie in [-1, 1], got {self.copula_rho}")
         for spec in self._coord_specs(self.exponent_dists):
             _validate_exponent_spec(spec, "exponent distribution")
         if self.exponent_dists_g is not None:
@@ -572,11 +578,10 @@ def run_symbolic(spec: NetworkSpec, seed: int, cap: int = 10_000) -> SymbolicRun
             w_plus = layer.a_plus[i].astype(int)
             w_minus = layer.a_minus[i].astype(int)
             weights = np.concatenate([w_plus, w_minus])
-            g_i = poly_weighted_combine(polys, weights, bias=TropicalValue(0.0), cap=cap)
-            h_i = poly_weighted_combine(polys_swapped, weights,
-                                        bias=TropicalValue(layer.b[i]), cap=cap)
-            t_i = BOTTOM if np.isneginf(layer.t[i]) else TropicalValue(layer.t[i])
-            f_i = poly_add(h_i, g_i.shift(t_i))
+            g_i = poly_weighted_combine(polys, weights, cap=cap)
+            h_i = poly_weighted_combine(polys_swapped, weights, bias=layer.b[i], cap=cap)
+            # An identity layer's threshold -inf is bottom: F = max(H, G + t) = H.
+            f_i = poly_add(h_i, g_i.shift(layer.t[i]))
             f_new.append(f_i)
             g_new.append(g_i)
         f_layers.append(tuple(f_new))

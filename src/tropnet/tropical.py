@@ -1,20 +1,21 @@
 """Max-plus (tropical) arithmetic, polynomials, and linear-region counting.
 
 The semiring is (R ∪ {bottom}, ⊕, ⊙) with a ⊕ b = max(a, b) and
-a ⊙ b = a + b.  The additive identity ("bottom") is kept as a distinct
-algebraic element rather than an IEEE -inf so that undefined operations
-(negative tropical powers of bottom) raise instead of propagating NaNs.
+a ⊙ b = a + b.  Scalars are plain floats: ``BOTTOM`` is -inf, the
+additive identity, and ``ZERO`` is 0.0, the multiplicative one.  NaN and
++inf are not tropical scalars and are rejected, and the one undefined
+operation, bottom to a negative tropical power, raises
+``UndefinedPowerError`` instead of propagating a NaN.
 
 A tropical polynomial is a finite max of affine monomials
 c + alpha · x with nonnegative integer slope vectors alpha; distinct
 monomials always carry distinct slope vectors.  It is stored as two
 arrays, an int64 exponent matrix (one row per monomial) and a float
 coefficient vector with -inf for bottom, whose rows one lexsort keeps
-sorted by exponent and free of repeats.  ``TropicalMonomial`` objects
-exist only at the API boundary: the public constructor takes them and
-``TropicalPolynomial.monomials`` builds them on request.  Tropical
-rational functions are differences f - g of two polynomials and are
-exactly the piecewise-linear functions this package cares about.
+sorted by exponent and free of repeats.  ``TropicalPolynomial(alpha,
+coeff)`` checks and normalises such arrays.  Tropical rational functions
+are differences f - g of two polynomials and are exactly the
+piecewise-linear functions this package cares about.
 
 The linear regions of a polynomial, and the monomials that pruning keeps,
 are the vertices of the upper convex hull of the lifted points
@@ -26,8 +27,9 @@ oracles for that count.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -58,105 +60,43 @@ class RegionCountError(TropicalError):
         self.monomial_index = monomial_index
 
 
-@dataclass(frozen=True)
-class TropicalValue:
-    """Element of the max-plus semiring; ``value=None`` encodes bottom."""
-
-    value: float | None = None
-
-    def __post_init__(self):
-        if self.value is not None:
-            v = float(self.value)
-            if not np.isfinite(v):
-                raise TropicalError("finite tropical values must be finite reals; "
-                                    "use BOTTOM for the additive identity")
-            object.__setattr__(self, "value", v)
-
-    @property
-    def is_bottom(self) -> bool:
-        return self.value is None
-
-    def __repr__(self):
-        return "BOTTOM" if self.is_bottom else f"TropicalValue({self.value!r})"
-
-
 #: Additive identity of ⊕ (the "-inf" of max-plus).
-BOTTOM = TropicalValue(None)
+BOTTOM = -math.inf
 #: Multiplicative identity of ⊙.
-ZERO = TropicalValue(0.0)
+ZERO = 0.0
 
 
-def as_tropical(a) -> TropicalValue:
-    """Coerce a float or TropicalValue to a TropicalValue."""
-    if isinstance(a, TropicalValue):
-        return a
-    return TropicalValue(float(a))
+def _scalar(a) -> float:
+    """``a`` as a tropical scalar: a real or BOTTOM, never NaN or +inf."""
+    a = float(a)
+    if math.isnan(a) or a == math.inf:
+        raise TropicalError(f"tropical scalars are reals or BOTTOM (-inf), got {a}")
+    return a
 
 
-def trop_add(a, b) -> TropicalValue:
+def trop_add(a, b) -> float:
     """a ⊕ b = max(a, b); bottom is the identity."""
-    a, b = as_tropical(a), as_tropical(b)
-    if a.is_bottom:
-        return b
-    if b.is_bottom:
-        return a
-    return TropicalValue(max(a.value, b.value))
+    return max(_scalar(a), _scalar(b))
 
 
-def trop_mul(a, b) -> TropicalValue:
+def trop_mul(a, b) -> float:
     """a ⊙ b = a + b; bottom is absorbing."""
-    a, b = as_tropical(a), as_tropical(b)
-    if a.is_bottom or b.is_bottom:
-        return BOTTOM
-    return TropicalValue(a.value + b.value)
+    return _scalar(a) + _scalar(b)
 
 
-def trop_pow(a, b: int) -> TropicalValue:
+def trop_pow(a, b: int) -> float:
     """Tropical exponentiation a^{⊙b} for integer b.
 
     For finite a this is the ordinary product a*b (the two integer-sign
     cases collapse to it); bottom^{⊙b} is bottom for b > 0, the
     multiplicative identity 0 for b = 0, and undefined for b < 0.
     """
-    a = as_tropical(a)
-    b = int(b)
-    if a.is_bottom:
-        if b > 0:
-            return BOTTOM
-        if b == 0:
-            return ZERO
-        raise UndefinedPowerError("bottom to a negative tropical power is undefined")
-    return TropicalValue(a.value * b)
-
-
-@dataclass(frozen=True)
-class TropicalMonomial:
-    """One affine piece c ⊙ x^{⊙alpha}, i.e. x ↦ c + alpha · x."""
-
-    coeff: TropicalValue
-    exponent: tuple[int, ...]
-
-    def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponent)
-        if any(e < 0 for e in exps):
-            raise TropicalError(f"monomial exponents must be nonnegative, got {exps}")
-        object.__setattr__(self, "exponent", exps)
-        object.__setattr__(self, "coeff", as_tropical(self.coeff))
-
-    @property
-    def dim(self) -> int:
-        return len(self.exponent)
-
-    def evaluate(self, x) -> TropicalValue:
-        if self.coeff.is_bottom:
-            return BOTTOM
-        x = np.asarray(x, dtype=float)
-        return TropicalValue(self.coeff.value + float(np.dot(self.exponent, x)))
-
-
-def _value(c: TropicalValue) -> float:
-    """Coefficient-vector entry of a scalar: -inf for bottom."""
-    return -np.inf if c.is_bottom else c.value
+    a, b = _scalar(a), int(b)
+    if a == BOTTOM:
+        if b < 0:
+            raise UndefinedPowerError("bottom to a negative tropical power is undefined")
+        return BOTTOM if b > 0 else ZERO
+    return a * b
 
 
 def _normalise(alpha: np.ndarray, coeff: np.ndarray):
@@ -183,28 +123,33 @@ def _normalise(alpha: np.ndarray, coeff: np.ndarray):
 
 
 class TropicalPolynomial:
-    """Finite tropical sum (max) of tropical monomials over a common dimension.
+    """Finite tropical sum (max) of monomials c + alpha · x over a common dimension.
 
-    Stored as an int64 exponent matrix ``_alpha`` of shape (r, d) and a
-    coefficient vector ``_coeff`` (-inf for bottom), normalised by
+    ``TropicalPolynomial(alpha, coeff)`` takes an (r, d) array of
+    nonnegative integer exponents with r >= 1 and r coefficients, each a
+    real or BOTTOM (-inf).  It is stored as an int64 exponent matrix
+    ``_alpha`` and a float coefficient vector ``_coeff``, normalised by
     ``_normalise``: rows sorted by exponent, distinct exponents, and no
-    bottom row unless the polynomial is bottom.  ``TropicalMonomial``
-    objects exist only at the boundary: the constructor takes them and
-    ``monomials`` builds them on request.
+    bottom row unless the polynomial is bottom.
     """
 
     __slots__ = ("_alpha", "_coeff")
 
-    def __init__(self, monomials: Iterable[TropicalMonomial]):
-        monos = list(monomials)
-        if not monos:
-            raise TropicalError("a tropical polynomial needs at least one monomial")
-        dim = monos[0].dim
-        if any(m.dim != dim for m in monos):
-            raise TropicalError("monomials must share one ambient dimension")
-        alpha = np.array([m.exponent for m in monos], dtype=np.int64).reshape(len(monos), dim)
-        self._alpha, self._coeff = _normalise(
-            alpha, np.array([_value(m.coeff) for m in monos]))
+    def __init__(self, alpha, coeff):
+        try:
+            alpha = np.asarray(alpha)
+            exps = alpha.astype(float)
+            coeff = np.asarray(coeff, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise TropicalError(f"monomial rows must be numeric: {exc}") from exc
+        if alpha.ndim != 2 or alpha.shape[0] == 0 or coeff.shape != alpha.shape[:1]:
+            raise TropicalError(f"need an (r, d) exponent array with r >= 1 and r "
+                                f"coefficients, got shapes {alpha.shape} and {coeff.shape}")
+        if not ((exps >= 0) & (exps == np.floor(exps)) & (exps < 2.0 ** 63)).all():
+            raise TropicalError("monomial exponents must be nonnegative integers")
+        if not (coeff < np.inf).all():
+            raise TropicalError("coefficients must be reals or BOTTOM (-inf), not NaN or +inf")
+        self._alpha, self._coeff = _normalise(exps.astype(np.int64), coeff)
 
     @classmethod
     def _from_arrays(cls, alpha: np.ndarray, coeff: np.ndarray) -> "TropicalPolynomial":
@@ -217,11 +162,6 @@ class TropicalPolynomial:
     @property
     def dim(self) -> int:
         return self._alpha.shape[1]
-
-    @property
-    def monomials(self) -> tuple[TropicalMonomial, ...]:
-        return tuple(TropicalMonomial(BOTTOM if c == -np.inf else TropicalValue(c), a)
-                     for a, c in zip(self._alpha.tolist(), self._coeff.tolist()))
 
     @property
     def num_monomials(self) -> int:
@@ -253,9 +193,9 @@ class TropicalPolynomial:
             return constant_polynomial(self.dim, ZERO)
         return self._from_arrays(self._alpha * w, self._coeff * w)
 
-    def shift(self, c: TropicalValue) -> "TropicalPolynomial":
+    def shift(self, c: float) -> "TropicalPolynomial":
         """Multiply by the scalar c (add c to every coefficient)."""
-        return self._from_arrays(self._alpha, self._coeff + _value(as_tropical(c)))
+        return self._from_arrays(self._alpha, self._coeff + _scalar(c))
 
     def __eq__(self, other):
         return (isinstance(other, TropicalPolynomial)
@@ -276,9 +216,9 @@ class TropicalPolynomial:
         return f"TropicalPolynomial[{terms}{more}]"
 
 
-def constant_polynomial(dim: int, c) -> TropicalPolynomial:
+def constant_polynomial(dim: int, c: float) -> TropicalPolynomial:
     return TropicalPolynomial._from_arrays(np.zeros((1, dim), dtype=np.int64),
-                                           np.array([_value(as_tropical(c))]))
+                                           np.array([_scalar(c)]))
 
 
 @dataclass(frozen=True)
@@ -346,7 +286,7 @@ def poly_mul(f: TropicalPolynomial, g: TropicalPolynomial,
 
 def poly_weighted_combine(polys: Sequence[TropicalPolynomial],
                           weights: Sequence[int],
-                          bias: TropicalValue = ZERO,
+                          bias: float = ZERO,
                           cap: int | None = None) -> TropicalPolynomial:
     """Symbolic ⊙-product of tropical powers plus a scalar bias.
 
@@ -564,20 +504,18 @@ def polynomial_to_dict(f: TropicalPolynomial) -> dict:
 
 
 def polynomial_from_dict(data: dict) -> TropicalPolynomial:
+    """Inverse of ``polynomial_to_dict``; bottom is written only as "bottom"."""
     d = int(data["d"])
-    alpha, coeff = [], []
-    for entry in data["monomials"]:
-        c = entry["c"]
-        coeff.append(_value(BOTTOM if c == "bottom" else TropicalValue(float(c))))
-        alpha.append([int(a) for a in entry["alpha"]])
-        if len(alpha[-1]) != d:
-            raise TropicalError(f"monomial exponent length {len(alpha[-1])} != d={d}")
-    if not coeff:
-        raise TropicalError("a tropical polynomial needs at least one monomial")
-    alpha = np.array(alpha, dtype=np.int64).reshape(len(coeff), d)
-    if (alpha < 0).any():
-        raise TropicalError("monomial exponents must be nonnegative")
-    return TropicalPolynomial._from_arrays(alpha, np.array(coeff))
+    monos = data["monomials"]
+    coeff = []
+    for entry in monos:
+        if len(entry["alpha"]) != d:
+            raise TropicalError(f"monomial exponent length {len(entry['alpha'])} != d={d}")
+        c = BOTTOM if entry["c"] == "bottom" else float(entry["c"])
+        if c == BOTTOM and entry["c"] != "bottom":
+            raise TropicalError('write a bottom coefficient as "bottom"')
+        coeff.append(c)
+    return TropicalPolynomial([entry["alpha"] for entry in monos], coeff)
 
 
 def polynomial_to_json(f: TropicalPolynomial) -> str:

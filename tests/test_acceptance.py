@@ -40,8 +40,7 @@ from tropnet.stopping import (
     exhaustive_stopping_oracle,
     select_layers,
 )
-from tropnet.tropical import TropicalMonomial, TropicalPolynomial, TropicalValue, \
-    count_linear_regions
+from tropnet.tropical import TropicalPolynomial, count_linear_regions
 
 from finite_support import induction_stop_stages, random_finite_support_process
 
@@ -194,11 +193,8 @@ def test_07_unimodal_example_selects_seven():
 def test_08_region_counting_cross_method():
     """Dominance-LP counts equal the grid oracle on random polynomials."""
     t0 = time.time()
-    relu = TropicalPolynomial([TropicalMonomial(TropicalValue(0.0), (1,)),
-                               TropicalMonomial(TropicalValue(0.0), (0,))])
-    planes = TropicalPolynomial([TropicalMonomial(TropicalValue(0.0), (1, 0)),
-                                 TropicalMonomial(TropicalValue(0.0), (0, 1)),
-                                 TropicalMonomial(TropicalValue(0.0), (0, 0))])
+    relu = TropicalPolynomial([(1,), (0,)], [0.0, 0.0])
+    planes = TropicalPolynomial([(1, 0), (0, 1), (0, 0)], [0.0, 0.0, 0.0])
     assert count_linear_regions(relu).count == 2
     assert count_linear_regions(planes).count == 3
 
@@ -212,8 +208,8 @@ def test_08_region_counting_cross_method():
             alpha = tuple(int(a) for a in rng.integers(0, 3, size=d))
             if alpha not in seen:
                 seen.add(alpha)
-                terms.append(TropicalMonomial(TropicalValue(rng.uniform(-2, 2)), alpha))
-        f = TropicalPolynomial(terms)
+                terms.append((rng.uniform(-2, 2), alpha))
+        f = TropicalPolynomial([a for _, a in terms], [c for c, _ in terms])
         lp = count_linear_regions(f, method="exact-lp").count
         grid = count_linear_regions(f, method="grid-oracle").count
         mismatches += lp != grid

@@ -77,6 +77,45 @@ class TestConfigValidation:
             parse_config("classify", {"network": network_dict(), "classify": {}})
 
 
+def with_network(**changes):
+    net = network_dict()
+    net.update(changes)
+    return {"network": net}
+
+
+INVALID_CONFIGS = {
+    "fractional-exponent": ("regions", {"regions": {"polynomial": {
+        "d": 1, "monomials": [{"c": 0.0, "alpha": [1.5]}, {"c": 0.0, "alpha": [0]}]}}},
+        "nonnegative integers"),
+    "copula-rho": ("bounds", with_network(copula_rho=2.0), "copula_rho"),
+    "copula-rho-nan": ("bounds", with_network(copula_rho=float("nan")), "copula_rho"),
+    "fractional-integer-bounds": ("bounds", with_network(weight_dist={
+        "kind": "bounded-uniform-integer", "lo": 0.5, "hi": 2.5}), "integral bounds"),
+    "override-layer-out-of-range": ("bounds", with_network(weight_overrides=[
+        [9, {"kind": "bounded-uniform-integer", "lo": -1, "hi": 1}]]), "weight_overrides"),
+    "override-layer-repeated": ("bounds", with_network(bias_overrides=[
+        [1, {"kind": "bounded-uniform-real", "lo": 0.0, "hi": 1.0}],
+        [1, {"kind": "bounded-uniform-real", "lo": 0.0, "hi": 2.0}]]), "bias_overrides"),
+    "bounds-layer-out-of-range": ("bounds", {"network": network_dict(),
+                                             "bounds": {"layers": [9]}},
+                                  "config.bounds.layers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
+def test_invalid_config_is_one_json_error(case, tmp_path, capsys):
+    subcommand, raw, fragment = INVALID_CONFIGS[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    code = main([subcommand, "--config", str(path), "--json-errors",
+                 "--out", str(tmp_path / "o")])
+    out = capsys.readouterr().out
+    assert code == EXIT_ERROR
+    assert len(out.splitlines()) == 1
+    assert list(json.loads(out)) == ["error"]
+    assert fragment in json.loads(out)["error"]
+
+
 class TestSubcommands:
     def test_simulate_writes_runs(self, tmp_path):
         cfg = parse_config("simulate", {"seed": 1, "network": network_dict(),

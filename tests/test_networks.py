@@ -115,6 +115,13 @@ class TestDistributionSpec:
         with pytest.raises(SpecError):
             DistributionSpec("finite-support", values=(1.0, 2.0), probs=(0.0, 1.0))
 
+    @pytest.mark.parametrize("lo, hi", [(0.5, 2.5), (-2.0, -0.5), (0, 1.5)])
+    def test_integer_law_needs_integral_bounds(self, lo, hi):
+        # Rounded draws would leave [lo, hi] while is_integer still held.
+        with pytest.raises(SpecError, match="integral bounds"):
+            DistributionSpec("bounded-uniform-integer", lo=lo, hi=hi)
+        assert DistributionSpec("bounded-uniform-integer", lo=-2.0, hi=3.0).is_integer
+
     def test_integer_detection(self):
         assert uniform_int(-3, 3).is_integer
         assert degenerate(2.0).is_integer
@@ -160,9 +167,9 @@ class TestSampleInit:
         for seed in range(1000):
             net = sample_network(spec, seed)
             for p in net.f0 + net.g0:
-                for m in p.monomials:
-                    assert -1.0 <= m.coeff.value <= 1.0
-                    assert all(0 <= e <= 2 for e in m.exponent)
+                for alpha, c in zip(p._alpha.tolist(), p._coeff.tolist()):
+                    assert -1.0 <= c <= 1.0
+                    assert all(0 <= e <= 2 for e in alpha)
 
 
 class TestSampleLayer:
@@ -192,6 +199,25 @@ class TestSampleLayer:
             NetworkSpec(widths=(1, 1), weight_dist=uniform_real(0, 1))
         with pytest.raises(SpecError):
             LayerSample.from_weights(np.array([[0.5]]), np.zeros(1), np.zeros(1))
+
+    @pytest.mark.parametrize("field, layers", [
+        ("weight_overrides", (0,)), ("weight_overrides", (3,)),
+        ("bias_overrides", (-1,)), ("weight_overrides", (2, 2)), ("bias_overrides", (1, 1)),
+    ])
+    def test_override_layers_validated(self, field, layers):
+        # An override outside 1..depth would be ignored, a repeat would
+        # silently keep the last law.
+        dist = degenerate(1.0)
+        with pytest.raises(SpecError, match=field):
+            NetworkSpec(widths=(1, 1, 1), **{field: tuple((l, dist) for l in layers)})
+
+    @pytest.mark.parametrize("rho", [2.0, -1.5, float("nan")])
+    def test_copula_rho_outside_unit_interval_rejected(self, rho):
+        # Any such rho turns every Monte Carlo output into NaN.
+        with pytest.raises(SpecError, match="copula_rho"):
+            NetworkSpec(widths=(1, 1), copula_rho=rho)
+        for ok in (-1.0, 0.0, 1.0):
+            assert NetworkSpec(widths=(1, 1), copula_rho=ok).copula_rho == ok
 
     def test_per_layer_override(self):
         spec = NetworkSpec(widths=(1, 1, 1), weight_dist=degenerate(1.0),
@@ -330,9 +356,9 @@ class TestRunSymbolic:
                            bias_dist=degenerate(0.0), init_mode="identity")
         sym = run_symbolic(spec, seed=0)
         f1 = sym.f_polys[1][0]
-        exps = {m.exponent for m in f1.monomials}
+        exps = {tuple(a) for a in f1._alpha.tolist()}
         assert exps == {(1,), (0,)}  # max(x, 0)
-        assert {m.exponent for m in sym.g_polys[1][0].monomials} == {(0,)}
+        assert {tuple(a) for a in sym.g_polys[1][0]._alpha.tolist()} == {(0,)}
         assert count_linear_regions(f1).count == 2
 
     def test_symbolic_matches_numeric(self):

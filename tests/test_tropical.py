@@ -13,10 +13,9 @@ from tropnet.tropical import (
     ZERO,
     BottomValueError,
     MonomialCapError,
-    TropicalMonomial,
+    TropicalError,
     TropicalPolynomial,
     TropicalRational,
-    TropicalValue,
     UndefinedPowerError,
     count_linear_regions,
     eval_polynomial,
@@ -33,13 +32,14 @@ from tropnet.tropical import (
 from tropnet.tropical import _finite_parts, _grid_points, _hull_maximal, _lp_maximal
 
 
-def mono(c, alpha):
-    coeff = BOTTOM if c is None else TropicalValue(float(c))
-    return TropicalMonomial(coeff, tuple(alpha))
-
-
 def poly(*terms):
-    return TropicalPolynomial([mono(c, a) for c, a in terms])
+    """Polynomial of (c, alpha) terms; c = None is bottom."""
+    return TropicalPolynomial([a for _, a in terms],
+                              [BOTTOM if c is None else c for c, _ in terms])
+
+
+def rows_of(f):
+    return list(zip(map(tuple, f._alpha.tolist()), f._coeff.tolist()))
 
 
 def random_poly(rng, d, r, coeff_lo=-2.0, coeff_hi=2.0, exp_hi=2):
@@ -57,37 +57,36 @@ def random_poly(rng, d, r, coeff_lo=-2.0, coeff_hi=2.0, exp_hi=2):
 
 def tropical_values():
     """Bottom or a finite value."""
-    return st.one_of(st.just(BOTTOM),
-                     st.floats(-1e3, 1e3, allow_nan=False).map(TropicalValue))
+    return st.one_of(st.just(BOTTOM), st.floats(-1e3, 1e3, allow_nan=False))
 
 
 def near(u, v):
     # Max is exact; the additive carrier of the product needs float slack.
-    if u.is_bottom or v.is_bottom:
+    if u == BOTTOM or v == BOTTOM:
         return u == v
-    return math.isclose(u.value, v.value, rel_tol=1e-12, abs_tol=1e-9)
+    return math.isclose(u, v, rel_tol=1e-12, abs_tol=1e-9)
 
 
 class TestScalarOps:
     def test_trop_add(self):
-        assert trop_add(3, 5) == TropicalValue(5.0)
-        assert trop_add(BOTTOM, 4) == TropicalValue(4.0)
-        assert trop_add(2, 2) == TropicalValue(2.0)  # idempotence
+        assert trop_add(3, 5) == 5.0 and type(trop_add(3, 5)) is float
+        assert trop_add(BOTTOM, 4) == 4.0
+        assert trop_add(2, 2) == 2.0  # idempotence
 
     def test_trop_mul(self):
-        assert trop_mul(3, 5) == TropicalValue(8.0)
-        assert trop_mul(0, 7) == TropicalValue(7.0)  # 0 is the unit
+        assert trop_mul(3, 5) == 8.0
+        assert trop_mul(0, 7) == 7.0  # 0 is the unit
         assert trop_mul(BOTTOM, 7) == BOTTOM         # absorbing
 
     def test_trop_pow(self):
-        assert trop_pow(2, 3) == TropicalValue(6.0)
+        assert trop_pow(2, 3) == 6.0
         assert trop_pow(BOTTOM, 0) == ZERO
         with pytest.raises(UndefinedPowerError):
             trop_pow(BOTTOM, -1)
 
     def test_trop_pow_negative_exponent_is_ordinary_product(self):
         # (-a)(-b) for negative integer exponents equals a*b.
-        assert trop_pow(3, -2) == TropicalValue(-6.0)
+        assert trop_pow(3, -2) == -6.0
 
     def test_div_then_mul_recovers(self):
         # Division by b is multiplication by its inverse b^{-1} = -b.
@@ -95,7 +94,7 @@ class TestScalarOps:
         for _ in range(100):
             a, b = rng.normal(size=2) * 5
             back = trop_mul(trop_mul(a, trop_pow(b, -1)), b)
-            assert math.isclose(back.value, a, abs_tol=1e-12)
+            assert math.isclose(back, a, abs_tol=1e-12)
 
     def test_div_by_bottom_is_an_error(self):
         # Bottom has no inverse.
@@ -105,12 +104,12 @@ class TestScalarOps:
     def test_semiring_laws_on_sampled_triples(self):
         def close(u, v):
             # Max is exact; the additive carrier of the product needs float slack.
-            if u.is_bottom or v.is_bottom:
+            if u == BOTTOM or v == BOTTOM:
                 return u == v
-            return math.isclose(u.value, v.value, abs_tol=1e-12)
+            return math.isclose(u, v, abs_tol=1e-12)
 
         rng = np.random.default_rng(1)
-        pool = [BOTTOM] + [TropicalValue(v) for v in rng.normal(size=30) * 10]
+        pool = [BOTTOM] + [float(v) for v in rng.normal(size=30) * 10]
         idx = rng.integers(0, len(pool), size=(200, 3))
         for i, j, k in idx:
             a, b, c = pool[i], pool[j], pool[k]
@@ -126,7 +125,7 @@ class TestScalarOps:
     def test_identities(self):
         rng = np.random.default_rng(2)
         for v in rng.normal(size=20):
-            a = TropicalValue(float(v))
+            a = float(v)
             assert trop_add(BOTTOM, a) == a
             assert trop_mul(ZERO, a) == a
 
@@ -150,10 +149,12 @@ class TestScalarOps:
         assert near(trop_pow(trop_mul(a, b), n), trop_mul(trop_pow(a, n), trop_pow(b, n)))
 
     def test_nonfinite_floats_are_rejected(self):
-        with pytest.raises(ValueError):
-            TropicalValue(float("-inf"))
-        with pytest.raises(ValueError):
-            TropicalValue(float("nan"))
+        # -inf is BOTTOM; NaN and +inf are not tropical scalars.
+        for bad in (math.nan, math.inf):
+            for op in (lambda: trop_add(bad, 1.0), lambda: trop_mul(1.0, bad),
+                       lambda: trop_pow(bad, 2), lambda: poly((bad, (0,)))):
+                with pytest.raises(ValueError):
+                    op()
 
 
 class TestPolynomials:
@@ -167,25 +168,22 @@ class TestPolynomials:
         f = random_poly(rng, d=2, r=5)
         for x in rng.uniform(-5, 5, size=(100, 2)):
             # Oracle: evaluate each affine piece independently, then max.
-            direct = max(m.coeff.value + np.dot(m.exponent, x) for m in f.monomials)
+            direct = max(c + np.dot(a, x) for a, c in rows_of(f))
             assert eval_polynomial(f, x) == pytest.approx(direct, abs=1e-12)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
-            mono(0.0, (-1,))
-
-    def test_bottom_monomial_evaluates_to_bottom(self):
-        assert mono(None, (1, 0)).evaluate([1.0, 2.0]) == BOTTOM
+            poly((0.0, (-1,)))
 
     def test_all_bottom_polynomial_errors(self):
-        f = TropicalPolynomial([mono(None, (0,))])
+        f = poly((None, (0,)))
         with pytest.raises(BottomValueError):
             eval_polynomial(f, [1.0])
 
     def test_duplicate_exponents_merge_keeping_max(self):
         f = poly((1.0, (1, 0)), (3.0, (1, 0)), (0.0, (0, 0)))
         assert f.num_monomials == 2
-        kept = {m.exponent: m.coeff.value for m in f.monomials}
+        kept = dict(rows_of(f))
         assert kept[(1, 0)] == 3.0
 
     def test_rational_eval_is_pointwise_difference(self):
@@ -217,10 +215,6 @@ def dict_merge(rows, d):
     return sorted(finite.items()) if finite else [((0,) * d, -math.inf)]
 
 
-def rows_of(f):
-    return list(zip(map(tuple, f._alpha.tolist()), f._coeff.tolist()))
-
-
 @st.composite
 def raw_rows(draw):
     """(d, rows) with repeated exponents and bottom rows likely, d = 1..3."""
@@ -231,7 +225,7 @@ def raw_rows(draw):
 
 
 def from_rows(rows):
-    return TropicalPolynomial([mono(None if c == -math.inf else c, a) for a, c in rows])
+    return TropicalPolynomial([a for a, _ in rows], [c for _, c in rows])
 
 
 class TestArrayRepresentation:
@@ -244,8 +238,7 @@ class TestArrayRepresentation:
         alpha = np.array([a for a, _ in rows], dtype=np.int64).reshape(len(rows), d)
         f = TropicalPolynomial._from_arrays(alpha, np.array([c for _, c in rows]))
         assert rows_of(f) == want
-        assert [(m.exponent, -math.inf if m.coeff.is_bottom else m.coeff.value)
-                for m in f.monomials] == want
+        assert rows_of(TropicalPolynomial(alpha, [c for _, c in rows])) == want
         assert f.is_bottom == (want[0][1] == -math.inf)
 
     def test_all_bottom_input_keeps_one_bottom_row_at_zero(self):
@@ -288,6 +281,20 @@ class TestArrayRepresentation:
         assert f == g and hash(f) == hash(g)
         assert f != poly((0.0, (2,))) and f != poly((0.0, (1, 0)))
 
+    @pytest.mark.parametrize("alpha, coeff", [
+        ([], []), ([[]], []), ([1, 0], [0.0, 0.0]), ([[1], [0]], [0.0]),
+        ([[-1]], [0.0]), ([[0.5]], [0.0]), ([[np.nan]], [0.0]), ([["x"]], [0.0]),
+        ([[1]], [np.nan]), ([[1]], [np.inf]),
+    ])
+    def test_constructor_rejects_bad_arrays(self, alpha, coeff):
+        with pytest.raises(TropicalError):
+            TropicalPolynomial(alpha, coeff)
+
+    def test_constructor_accepts_integral_floats_and_bottom(self):
+        f = TropicalPolynomial(np.array([[2.0, 0.0], [1.0, 1.0]]), [BOTTOM, 1.5])
+        assert rows_of(f) == [((1, 1), 1.5)]
+        assert f._alpha.dtype == np.int64
+
     def test_storage_is_the_two_arrays(self):
         f = poly((1.0, (1, 0)), (0.0, (0, 0)))
         assert TropicalPolynomial.__slots__ == ("_alpha", "_coeff")
@@ -313,7 +320,7 @@ class TestWeightedCombine:
         # Symbolic output must equal the direct weighted numeric evaluation.
         rng = np.random.default_rng(8)
         p1, p2 = random_poly(rng, 2, 3), random_poly(rng, 2, 3)
-        out = poly_weighted_combine([p1, p2], [2, 1], bias=TropicalValue(0.5))
+        out = poly_weighted_combine([p1, p2], [2, 1], bias=0.5)
         for x in rng.uniform(-5, 5, size=(50, 2)):
             want = 2 * eval_polynomial(p1, x) + eval_polynomial(p2, x) + 0.5
             assert eval_polynomial(out, x) == pytest.approx(want, abs=1e-9)
@@ -360,9 +367,7 @@ class TestRegions:
         rng = np.random.default_rng(11)
         for _ in range(20):
             f = random_poly(rng, 2, 5)
-            shifted = TropicalPolynomial(
-                TropicalMonomial(TropicalValue(m.coeff.value + 7.5), m.exponent)
-                for m in f.monomials)
+            shifted = TropicalPolynomial(f._alpha, f._coeff + 7.5)
             assert count_linear_regions(f).count == count_linear_regions(shifted).count
 
     def test_count_invariant_under_redundant_deletion(self):
@@ -488,7 +493,7 @@ class TestSerialization:
         assert again == f
 
     def test_bottom_coefficient_round_trip(self):
-        f = TropicalPolynomial([mono(None, (0, 0))])
+        f = poly((None, (0, 0)))
         again = from_json(polynomial_to_json(f))
         assert again.is_bottom
         assert again == f and hash(again) == hash(f)
@@ -507,8 +512,17 @@ class TestSerialization:
             from_json('{"d": 1, "monomials": [{"c": 0, "alpha": [-1]}]}')
         with pytest.raises(ValueError):
             from_json('{"d": 1, "monomials": [{"c": "inf", "alpha": [1]}]}')
+        with pytest.raises(ValueError):  # bottom is written only as "bottom"
+            from_json('{"d": 1, "monomials": [{"c": -Infinity, "alpha": [1]}]}')
         with pytest.raises(ValueError):
             from_json('{"d": 1, "monomials": []}')
+
+    @pytest.mark.parametrize("alpha", [[1.5], [2.7], [1e300]])
+    def test_reading_rejects_non_integral_exponents(self, alpha):
+        # Truncating 1.5 to 1 would count the regions of another polynomial.
+        data = {"d": 1, "monomials": [{"c": 0, "alpha": alpha}, {"c": 0, "alpha": [0]}]}
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            polynomial_from_dict(data)
 
     def test_schema_shape(self):
         f = poly((1.5, (2, 0)))
