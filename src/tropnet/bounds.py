@@ -9,10 +9,11 @@ estimator and a consistency verdict:
 * bounded-increment martingale: P(||v_l|| >= M a) < 2 exp(1 - (Ma-1)^2 / (2l)).
 
 xi comes from the interval certificate in :mod:`tropnet.networks`, so the
-analytic side never peeks at the samples it is checked against.  A report
-is "violated" only when the empirical tail exceeds the analytic value by
-more than three standard errors, which turns the probabilistic statement
-into a deterministic seed-pinned test.
+analytic side never peeks at the samples it is checked against.  Every
+verdict in the package follows one rule: a frequency and its standard error
+come from ``binomial_estimate``, and a report is "violated" only when
+``exceeds`` finds it more than three standard errors above its bound, which
+turns the probabilistic statement into a deterministic seed-pinned test.
 """
 
 from __future__ import annotations
@@ -24,13 +25,24 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .networks import NetworkSpec, propagate_intervals, simulate_layer_outputs
 from .seeding import item_seed, stream
 
 #: Slack multiplier converting a probabilistic bound into a pinned verdict.
 SE_SLACK = 3.0
+
+
+def exceeds(value: float, se: float, reference: float) -> bool:
+    """Is ``value`` more than SE_SLACK standard errors above ``reference``?"""
+    return value - SE_SLACK * se > reference
+
+
+def binomial_estimate(count: int, n: int) -> tuple[float, float]:
+    """Frequency ``count / n`` of an event in n draws, with its standard error."""
+    p_hat = count / n
+    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +95,11 @@ def estimate_tail(samples: np.ndarray, center: np.ndarray, t: float):
     if center.shape[0] != samples.shape[1]:
         raise ValueError("sample and center dimensions disagree")
     dist = np.linalg.norm(samples - center, axis=1)
-    p_hat = float(np.mean(dist >= t))
-    se = math.sqrt(p_hat * (1.0 - p_hat) / n)
-    return p_hat, se
+    # Non-finite inputs give non-finite distances; only then scan the inputs.
+    if not np.isfinite(dist).all() and not (np.isfinite(samples).all()
+                                            and np.isfinite(center).all()):
+        raise ValueError("tail estimation needs finite samples and center")
+    return binomial_estimate(int(np.count_nonzero(dist >= t)), n)
 
 
 @dataclass(frozen=True)
@@ -108,7 +122,7 @@ class BoundReport:
 
     @property
     def verdict(self) -> str:
-        return "violated" if self.empirical - SE_SLACK * self.se > self.analytic \
+        return "violated" if exceeds(self.empirical, self.se, self.analytic) \
             else "consistent"
 
     def __post_init__(self):
@@ -135,7 +149,7 @@ def reports_to_json(reports: Sequence[BoundReport]) -> str:
         {"kind": r.kind, "l": r.layer, "t": r.t, "analytic": r.analytic,
          "empirical": r.empirical, "se": r.se, "n": r.n, "verdict": r.verdict}
         for r in reports
-    ], sort_keys=True)
+    ], sort_keys=True, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -216,23 +230,18 @@ def region_count_concentration(counts: Sequence[int], b1: int,
     counts = np.asarray(counts, dtype=float)
     if b1 <= 1:
         raise ValueError(f"need b1 > 1, got {b1}")
-    if np.any(counts < 1) or np.any(counts > b1):
-        raise ValueError(f"region counts must lie in [1, {b1}]")
-    center = np.array([counts.mean()])
+    if not len(counts) or np.any(counts < 1) or np.any(counts > b1):
+        raise ValueError(f"region counts must be given and lie in [1, {b1}]")
+    deviation = np.abs(counts - counts.mean())
     reports = []
     for t in t_grid:
-        p_hat, se = estimate_tail(counts[:, None], center, float(t)) \
-            if len(counts) >= 1000 else _small_tail(counts, center[0], float(t))
+        p_hat, se = binomial_estimate(int(np.count_nonzero(deviation >= float(t))),
+                                      len(counts))
         reports.append(BoundReport(kind="region-count", layer=0, t=float(t),
                                    analytic=region_count_bound(float(t), b1),
                                    empirical=p_hat, se=se,
                                    n=len(counts), params=(b1,)))
     return reports
-
-
-def _small_tail(values: np.ndarray, center: float, t: float):
-    p_hat = float(np.mean(np.abs(values - center) >= t))
-    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / len(values))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +300,7 @@ def convex_order_check(samples1: np.ndarray, samples2: np.ndarray,
         raise ValueError("sample dimensions disagree")
     rng = stream(seed, "convex-order")
     family = _test_family(s1.shape[1], k, np.vstack([s1, s2]), rng)
-    threshold = float(norm.ppf(1.0 - alpha / len(family)))
+    threshold = float(ndtri(1.0 - alpha / len(family)))
     worst_name, worst_z = "", -math.inf
     for name, phi in family:
         v1, v2 = phi(s1), phi(s2)

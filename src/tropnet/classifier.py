@@ -5,7 +5,11 @@ E[s(nu(x))] at a decision level c; the expectation here is over the
 network's own randomness at a fixed input.  Whenever the estimate sits a
 distance t from c, the probability that a fresh stochastic draw lands on
 the other side of c is at most exp(-2 t^2 / (b-a)^2) for a score bounded
-in [a, b], and the audit routine checks that bound empirically.
+in [a, b], and the audit routine checks that bound empirically.  Both
+follow the verdict rule of :mod:`tropnet.bounds`: an estimate is resolved
+when ``exceeds(t, se, 0.0)``, and an audit row, labelled by
+``expected_classify``, is violated when its binomial disagreement
+frequency ``exceeds`` the bound.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import SE_SLACK
+from .bounds import binomial_estimate, exceeds
 from .networks import NetworkSpec, simulate_layer_outputs
 from .seeding import item_seed
 
@@ -103,9 +107,7 @@ def expected_score(spec: NetworkSpec, score_spec: ScoreSpec, x,
         raise ValueError(f"need n >= 1000 draws, got {n}")
     nu = simulate_layer_outputs(spec, n, seed, x=x, tag="score")[-1][:, 0]
     s = np.asarray(score(score_spec, nu))
-    est = float(s.mean())
-    se = float(s.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return est, se
+    return float(s.mean()), float(s.std(ddof=1) / math.sqrt(n))
 
 
 def expected_classify(estimate: float, score_spec: ScoreSpec,
@@ -125,7 +127,7 @@ def expected_classify(estimate: float, score_spec: ScoreSpec,
             "estimate equals the decision threshold; the input lies on the "
             "expected decision boundary")
     t = abs(estimate - c)
-    if t <= SE_SLACK * se:
+    if not exceeds(t, se, 0.0):
         return ExpectedDecision(estimate=estimate, se=se, label="abstain",
                                 t=t, error_bound=1.0, x=xt)
     p = min(math.exp(-2.0 * t * t / ((b - a) ** 2)), 1.0)
@@ -172,23 +174,22 @@ def _audit_input(spec: NetworkSpec, score_spec: ScoreSpec, x: np.ndarray,
                  n: int, seed: int, i: int) -> AuditRow:
     input_seed = item_seed(seed, "classify", i)
     est, se = expected_score(spec, score_spec, x, n=n, seed=input_seed)
-    t = abs(est - score_spec.c)
-    if t <= SE_SLACK * se:
+    try:
+        d = expected_classify(est, score_spec, se)
+    except DecisionBoundaryError:  # on c: unresolved at any se
+        d = ExpectedDecision(estimate=est, se=se, label="abstain", t=0.0,
+                             error_bound=1.0)
+    if d.label == "abstain":
         return AuditRow(input_id=i, estimate=est, se=se, label="abstain",
-                        t=t, bound=1.0, empirical=float("nan"),
+                        t=d.t, bound=1.0, empirical=float("nan"),
                         empirical_se=float("nan"), verdict="unresolved")
-    label = "C1" if est > score_spec.c else "C2"
     nu = simulate_layer_outputs(spec, n, input_seed, x=x, tag="audit")[-1][:, 0]
     s = np.asarray(score(score_spec, nu))
-    if label == "C1":
-        disagree = float(np.mean(s <= score_spec.c))
-    else:
-        disagree = float(np.mean(s >= score_spec.c))
-    emp_se = math.sqrt(disagree * (1.0 - disagree) / n)
-    bound = min(math.exp(-2.0 * t * t / ((score_spec.b - score_spec.a) ** 2)), 1.0)
-    verdict = "consistent" if disagree <= bound + SE_SLACK * emp_se else "violated"
-    return AuditRow(input_id=i, estimate=est, se=se, label=label, t=t,
-                    bound=bound, empirical=disagree,
+    wrong_side = s <= score_spec.c if d.label == "C1" else s >= score_spec.c
+    disagree, emp_se = binomial_estimate(int(np.count_nonzero(wrong_side)), n)
+    verdict = "violated" if exceeds(disagree, emp_se, d.error_bound) else "consistent"
+    return AuditRow(input_id=i, estimate=est, se=se, label=d.label, t=d.t,
+                    bound=d.error_bound, empirical=disagree,
                     empirical_se=emp_se, verdict=verdict)
 
 

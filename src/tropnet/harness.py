@@ -270,6 +270,11 @@ def _finish(cfg: ExperimentConfig, out: _OutDir, t0: float,
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _verdict_code(items) -> int:
+    """Exit code of a run's bound reports or audit rows."""
+    return EXIT_VIOLATION if any(r.verdict == "violated" for r in items) else EXIT_OK
+
+
 def run_subcommand(name: str, cfg: ExperimentConfig,
                    out_dir: str | None = None) -> tuple[int, dict]:
     """Execute a subcommand; returns (exit_code, artifact checksums)."""
@@ -335,8 +340,7 @@ def _run_bounds(cfg: ExperimentConfig, out: _OutDir) -> int:
     reports_to_csv(reports, out / "bound_reports.csv")
     with open(out / "bound_reports.json", "w") as fh:
         fh.write(reports_to_json(reports))
-    return EXIT_VIOLATION if any(r.verdict == "violated" for r in reports) \
-        else EXIT_OK
+    return _verdict_code(reports)
 
 
 def _run_classify(cfg: ExperimentConfig, out: _OutDir) -> int:
@@ -346,7 +350,7 @@ def _run_classify(cfg: ExperimentConfig, out: _OutDir) -> int:
         rows = disagreement_audit(cfg.network, cfg.score, inputs,
                                   n=opts.get("n", 10_000), seed=cfg.seed, map=pool_map)
     audit_to_csv(rows, out / "audit.csv")
-    return EXIT_VIOLATION if any(r.verdict == "violated" for r in rows) else EXIT_OK
+    return _verdict_code(rows)
 
 
 def _load_gamma_table(opts: dict):
@@ -405,7 +409,6 @@ def _symbolic_region_count(network, seed, cap):
 
 def _run_regions(cfg: ExperimentConfig, out: _OutDir) -> int:
     opts = cfg.options
-    code = EXIT_OK
     if "polynomial" in opts:
         poly = polynomial_from_dict(opts["polynomial"])
         exact = count_linear_regions(poly, method="exact-lp")
@@ -441,15 +444,13 @@ def _run_regions(cfg: ExperimentConfig, out: _OutDir) -> int:
         if t_grid:
             reports = region_count_concentration(counts, b1, t_grid)
             reports_to_csv(reports, out / "region_reports.csv")
-            if any(r.verdict == "violated" for r in reports):
-                code = EXIT_VIOLATION
-    return code
+            return _verdict_code(reports)
+    return EXIT_OK
 
 
 def _run_mgale_check(cfg: ExperimentConfig, out: _OutDir) -> int:
     opts = cfg.options
     source = opts.get("source", "random-walk")
-    code = EXIT_OK
     if source == "random-walk":
         steps = int(opts.get("steps", 20))
         n = int(opts.get("n", 100_000))
@@ -458,8 +459,6 @@ def _run_mgale_check(cfg: ExperimentConfig, out: _OutDir) -> int:
         traj = simulate_random_walk(steps, n, seed=cfg.seed, dim=dim)
         reports = walk_tail_reports(traj, a_grid, m=1.0)
         reports_to_csv(reports, out / "walk_reports.csv")
-        if any(r.verdict == "violated" for r in reports):
-            code = EXIT_VIOLATION
         grade_n = int(opts.get("n_grade", 0))
         if grade_n:
             grade = martingale_grade_check(traj[:grade_n], seed=cfg.seed)
@@ -480,9 +479,7 @@ def _run_mgale_check(cfg: ExperimentConfig, out: _OutDir) -> int:
         reports = walk_tail_reports(traj, opts.get("a_grid", [1.0, 2.0, 4.0]),
                                     m=grade.increment_bound)
         reports_to_csv(reports, out / "mgale_reports.csv")
-        if any(r.verdict == "violated" for r in reports):
-            code = EXIT_VIOLATION
-    return code
+    return _verdict_code(reports)
 
 
 def _write_grade(grade, out: _OutDir):

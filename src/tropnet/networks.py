@@ -26,7 +26,6 @@ from itertools import repeat
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import truncnorm
 
 from .seeding import block_indices, stream
 from .tropical import TropicalPolynomial, poly_add, poly_weighted_combine
@@ -64,6 +63,8 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise SpecError(f"unknown distribution kind {self.kind!r}")
+        if not (np.isfinite(float(self.mu)) and np.isfinite(float(self.sigma))):
+            raise SpecError("mu and sigma must be finite")
         if self.kind == "finite-support":
             if not self.values:
                 raise SpecError("finite-support needs at least one atom")
@@ -75,9 +76,11 @@ class DistributionSpec:
                 probs = tuple([1.0 / len(vals)] * len(vals))
             if len(probs) != len(vals):
                 raise SpecError("finite-support values/probs length mismatch")
-            if any(p <= 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+            if not all(p > 0 for p in probs) or not abs(sum(probs) - 1.0) <= 1e-9:
                 raise SpecError("finite-support probs must be positive and sum to 1")
             flat = [x for v in vals for x in (v if isinstance(v, tuple) else (v,))]
+            if not np.isfinite(flat).all():
+                raise SpecError("finite-support atoms must be finite")
             object.__setattr__(self, "values", vals)
             object.__setattr__(self, "probs", probs)
             object.__setattr__(self, "lo", min(flat))
@@ -88,6 +91,8 @@ class DistributionSpec:
                 raise SpecError("distribution bounds must be finite")
             if lo > hi:
                 raise SpecError(f"need lo <= hi, got [{lo}, {hi}]")
+            if not np.isfinite(hi - lo):
+                raise SpecError(f"window [{lo}, {hi}] is wider than double precision")
             if self.kind == "bounded-uniform-integer" and not (lo.is_integer()
                                                                and hi.is_integer()):
                 raise SpecError(f"bounded-uniform-integer needs integral bounds, "
@@ -176,6 +181,8 @@ class DistributionSpec:
         if self.kind == "bounded-uniform-real":
             return self.lo + u * (self.hi - self.lo)
         if self.kind == "truncated-gaussian":
+            from scipy.stats import truncnorm  # slow to import; rarely needed
+
             a = (self.lo - self.mu) / self.sigma
             b = (self.hi - self.mu) / self.sigma
             return truncnorm.ppf(u, a, b, loc=self.mu, scale=self.sigma)
@@ -641,6 +648,7 @@ def simulate_layer_outputs(spec: NetworkSpec, n: int, seed: int,
     simulated in fixed-size blocks, block ``b`` from ``stream(seed, tag,
     b)``.  ``map`` runs the blocks: the builtin runs them here, a process
     pool's ``map`` runs them in its workers, with identical results.
+    Raises ``SpecError`` when a layer output overflows to inf or NaN.
     """
     x = _as_input(spec, x)
     blocks = list(block_indices(n))
@@ -650,6 +658,10 @@ def simulate_layer_outputs(spec: NetworkSpec, n: int, seed: int,
     for (_, start, size), block in zip(blocks, results):
         for l, arr in enumerate(block):
             outs[l][start:start + size] = arr
+    for l, out in enumerate(outs, start=1):
+        if not np.isfinite(out).all():
+            raise SpecError(f"layer {l} outputs are not finite: the spec's "
+                            f"parameters overflow double precision")
     return outs
 
 

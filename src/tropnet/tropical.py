@@ -79,24 +79,33 @@ def trop_add(a, b) -> float:
     return max(_scalar(a), _scalar(b))
 
 
+def _no_overflow(result: float, *operands) -> float:
+    """``result``, checked not to be ±inf when every operand is finite."""
+    if math.isinf(result) and all(math.isfinite(x) for x in operands):
+        raise TropicalError(f"finite operands {operands} overflow to {result}")
+    return result
+
+
 def trop_mul(a, b) -> float:
-    """a ⊙ b = a + b; bottom is absorbing."""
-    return _scalar(a) + _scalar(b)
+    """a ⊙ b = a + b; bottom is absorbing, and finite a, b must not overflow."""
+    a, b = _scalar(a), _scalar(b)
+    return _no_overflow(a + b, a, b)
 
 
 def trop_pow(a, b: int) -> float:
     """Tropical exponentiation a^{⊙b} for integer b.
 
     For finite a this is the ordinary product a*b (the two integer-sign
-    cases collapse to it); bottom^{⊙b} is bottom for b > 0, the
-    multiplicative identity 0 for b = 0, and undefined for b < 0.
+    cases collapse to it), which must not overflow; bottom^{⊙b} is bottom
+    for b > 0, the multiplicative identity 0 for b = 0, and undefined for
+    b < 0.
     """
     a, b = _scalar(a), int(b)
     if a == BOTTOM:
         if b < 0:
             raise UndefinedPowerError("bottom to a negative tropical power is undefined")
         return BOTTOM if b > 0 else ZERO
-    return a * b
+    return _no_overflow(a * b, a, b)
 
 
 def _normalise(alpha: np.ndarray, coeff: np.ndarray):

@@ -9,9 +9,12 @@ from scipy.stats import binom, norm
 
 import tropnet.bounds
 from tropnet.bounds import (
+    SE_SLACK,
     BoundReport,
+    binomial_estimate,
     convex_order_check,
     estimate_tail,
+    exceeds,
     hoeffding_bound,
     martingale_grade_check,
     mgale_bound,
@@ -19,6 +22,7 @@ from tropnet.bounds import (
     region_count_bound,
     region_count_concentration,
     reports_to_csv,
+    reports_to_json,
     simulate_random_walk,
     verify_layer_concentration,
     walk_tail_reports,
@@ -70,6 +74,22 @@ class TestClosedForms:
         assert region_count_bound(1.0, 5) == hoeffding_bound(1.0, 1.0, 5.0)
 
 
+class TestVerdictRule:
+    def test_tie_is_not_an_excess(self):
+        # 0.5 - 3 * 0.125 == 0.125 exactly in binary floating point.
+        assert SE_SLACK == 3.0 and 0.5 - 3 * 0.125 == 0.125
+        assert not exceeds(0.5, 0.125, 0.125)
+        assert exceeds(0.5, 0.125, math.nextafter(0.125, 0.0))
+        tie = BoundReport(kind="nSG", layer=1, t=1.0, analytic=0.125,
+                          empirical=0.5, se=0.125, n=1000)
+        assert tie.verdict == "consistent"
+
+    @pytest.mark.parametrize("n", [1, 50, 1000])
+    def test_binomial_extremes_have_zero_se(self, n):
+        assert binomial_estimate(0, n) == (0.0, 0.0)
+        assert binomial_estimate(n, n) == (1.0, 0.0)
+
+
 class TestEstimateTail:
     def test_degenerate_distribution(self):
         samples = np.zeros((1000, 2))
@@ -92,6 +112,20 @@ class TestEstimateTail:
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError):
             estimate_tail(np.zeros((10, 1)), np.zeros(1), 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_input_rejected(self, bad):
+        samples = np.zeros((1000, 2))
+        samples[7, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            estimate_tail(samples, np.zeros(2), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            estimate_tail(np.zeros((1000, 2)), np.array([0.0, bad]), 1.0)
+
+    def test_finite_samples_whose_norm_overflows_are_counted(self):
+        samples = np.full((1000, 2), 1e200)
+        with np.errstate(over="ignore"):
+            assert estimate_tail(samples, np.zeros(2), 1.0) == (1.0, 0.0)
 
     def test_sphere_sampler_stays_under_nsg_bound(self):
         # Uniform on the radius-xi sphere in R^3 via normalized Gaussians.
@@ -122,6 +156,12 @@ class TestBoundReport:
         r2 = BoundReport(kind="nSG", layer=1, t=1.0, analytic=0.1,
                          empirical=0.12, se=0.01, n=1000)
         assert r2.verdict == "consistent"
+
+    def test_json_rejects_nan(self):
+        r = BoundReport(kind="nSG", layer=1, t=1.0, analytic=math.nan,
+                        empirical=0.0, se=0.0, n=1000)
+        with pytest.raises(ValueError):
+            reports_to_json([r])
 
     def test_analytic_clamped_to_two(self):
         r = BoundReport(kind="martingale", layer=1, t=1.0,
@@ -235,6 +275,25 @@ class TestRegionCountConcentration:
             region_count_concentration([0, 2], b1=3, t_grid=[1.0])
         with pytest.raises(ValueError):
             region_count_concentration([1, 7], b1=3, t_grid=[1.0])
+        with pytest.raises(ValueError):
+            region_count_concentration([], b1=3, t_grid=[1.0])
+
+    @pytest.mark.parametrize("n", [50, 1500])
+    def test_matches_the_small_and_large_sample_formulas(self, n):
+        # Below 1000 counts the frequency was mean(|c - mean| >= t); from
+        # 1000 on it was mean(||c - mean||_2 >= t) in one dimension.  One
+        # binomial estimate now serves both, with the same floats.
+        counts = stream(5, "counts").integers(1, 9, size=n).astype(float)
+        t_grid = [0.5, 1.0, 2.5, 3.0, 7.5]
+        reports = region_count_concentration(counts, 8, t_grid)
+        center = counts.mean()
+        for r, t in zip(reports, t_grid):
+            if n < 1000:
+                p = float(np.mean(np.abs(counts - center) >= t))
+            else:
+                dist = np.linalg.norm(counts[:, None] - np.array([center]), axis=1)
+                p = float(np.mean(dist >= t))
+            assert (r.empirical, r.se) == (p, math.sqrt(p * (1.0 - p) / n))
 
 
 class TestConvexOrder:
@@ -268,6 +327,12 @@ class TestConvexOrder:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             convex_order_check(np.zeros((100, 2)), np.zeros((100, 3)))
+
+    @pytest.mark.parametrize("k", [0, 16])
+    def test_bonferroni_threshold_is_the_normal_quantile(self, k):
+        s = stream(6, "cx").normal(size=(200, 2))
+        rep = convex_order_check(s, s, k=k, alpha=0.01)
+        assert rep.threshold == norm.ppf(1.0 - 0.01 / rep.n_functions)
 
 
 class TestMartingaleGrades:

@@ -170,6 +170,14 @@ class TestDisagreementAudit:
         for r in resolved:
             assert r.empirical <= r.bound + 3 * r.empirical_se
 
+    def test_audit_labels_inputs_with_expected_classify(self):
+        net = reference_classifier_spec()
+        inputs = np.random.default_rng(4).uniform(-1, 1, size=(4, 2))
+        for row in disagreement_audit(net, ScoreSpec(), inputs, n=2000, seed=3):
+            d = expected_classify(row.estimate, ScoreSpec(), se=row.se)
+            assert (row.label, row.t, row.bound) == (d.label, d.t, d.error_bound)
+            assert (row.verdict == "unresolved") == (d.label == "abstain")
+
     def test_unresolved_flagged_not_judged(self):
         # A symmetric network pins E[s] at exactly 0.5: never resolved.
         net = NetworkSpec(

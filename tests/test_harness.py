@@ -2,10 +2,15 @@
 
 import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tropnet
 from tropnet.cli import main
 from tropnet.harness import (
     EXIT_ERROR,
@@ -99,6 +104,31 @@ INVALID_CONFIGS = {
     "bounds-layer-out-of-range": ("bounds", {"network": network_dict(),
                                              "bounds": {"layers": [9]}},
                                   "config.bounds.layers"),
+    "nan-bound": ("bounds", with_network(bias_dist={
+        "kind": "bounded-uniform-real", "lo": float("nan"), "hi": 1.0}), "finite"),
+    "nan-mu": ("bounds", with_network(bias_dist={
+        "kind": "truncated-gaussian", "lo": 0.0, "hi": 1.0, "mu": float("nan")}),
+        "mu and sigma must be finite"),
+    "nan-sigma": ("bounds", with_network(bias_dist={
+        "kind": "truncated-gaussian", "lo": 0.0, "hi": 1.0, "sigma": float("nan")}),
+        "mu and sigma must be finite"),
+    "nan-atom": ("bounds", with_network(bias_dist={
+        "kind": "finite-support", "values": [1.0, float("nan")]}), "atoms must be finite"),
+    "nan-prob": ("bounds", with_network(bias_dist={
+        "kind": "finite-support", "values": [0.0, 1.0], "probs": [float("nan"), 0.5]}),
+        "probs must be positive"),
+    "overflowing-window": ("bounds", with_network(bias_dist={
+        "kind": "bounded-uniform-real", "lo": -1e308, "hi": 1e308}),
+        "wider than double precision"),
+    # Accepted by the validator, but the layer outputs overflow: a typed
+    # error, not a report with NaN in it.
+    "nonfinite-layer-outputs": ("bounds", {
+        "network": {"widths": [2, 3, 3, 1], "r": 2,
+                    "thresholds": ["relu", "relu", "identity"],
+                    "weight_dist": {"kind": "bounded-uniform-integer", "lo": -3, "hi": 3},
+                    "bias_dist": {"kind": "bounded-uniform-real",
+                                  "lo": -8e307, "hi": 8e307}},
+        "bounds": {"n": 1000, "t_grid": [1.0]}}, "SpecError: layer 2 outputs are not finite"),
 }
 
 
@@ -114,6 +144,12 @@ def test_invalid_config_is_one_json_error(case, tmp_path, capsys):
     assert len(out.splitlines()) == 1
     assert list(json.loads(out)) == ["error"]
     assert fragment in json.loads(out)["error"]
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    code = "import sys, tropnet.cli; assert 'scipy.stats' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(Path(tropnet.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestSubcommands:

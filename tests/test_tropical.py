@@ -155,6 +155,17 @@ class TestScalarOps:
                        lambda: trop_pow(bad, 2), lambda: poly((bad, (0,)))):
                 with pytest.raises(ValueError):
                     op()
+        # Finite operands whose product overflows give neither +inf nor a
+        # -inf that would read as BOTTOM.
+        for op in (lambda: trop_mul(1e308, 1e308), lambda: trop_mul(-1e308, -1e308),
+                   lambda: trop_pow(1e308, 10), lambda: trop_pow(-1e308, 10),
+                   lambda: trop_pow(1e308, -10)):
+            with pytest.raises(TropicalError, match="overflow"):
+                op()
+        # BOTTOM operands keep their semantics.
+        assert trop_mul(BOTTOM, 1e308) == BOTTOM
+        assert trop_mul(BOTTOM, BOTTOM) == BOTTOM
+        assert trop_pow(BOTTOM, 3) == BOTTOM and trop_pow(BOTTOM, 0) == ZERO
 
 
 class TestPolynomials:
