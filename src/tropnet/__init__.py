@@ -68,8 +68,6 @@ from .bounds import (
     nsg_bound,
     region_count_bound,
     region_count_concentration,
-    reports_to_csv,
-    reports_to_json,
     simulate_random_walk,
     verify_layer_concentration,
     walk_tail_reports,

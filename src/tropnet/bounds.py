@@ -18,8 +18,6 @@ turns the probabilistic statement into a deterministic seed-pinned test.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -71,7 +69,10 @@ def mgale_bound(a: float, m: float, l: int) -> float:
     """
     if a <= 0 or m <= 0 or l < 1:
         raise ValueError("need a > 0, M > 0, l >= 1")
-    return 2.0 * math.exp(1.0 - (m * a - 1.0) ** 2 / (2.0 * l))
+    try:
+        return 2.0 * math.exp(1.0 - (m * a - 1.0) ** 2 / (2.0 * l))
+    except OverflowError:  # (Ma - 1)^2 past float range: the bound is 0
+        return 0.0
 
 
 def region_count_bound(t: float, b1: int) -> float:
@@ -129,27 +130,6 @@ class BoundReport:
         object.__setattr__(self, "analytic", min(float(self.analytic), 2.0))
         if not 0.0 <= self.empirical <= 1.0:
             raise ValueError("empirical tail estimate must lie in [0, 1]")
-
-
-def reports_to_rows(reports: Sequence[BoundReport]) -> list[list]:
-    rows = [["kind", "l", "t", "analytic", "empirical", "se", "n", "verdict"]]
-    for r in reports:
-        rows.append([r.kind, r.layer, repr(float(r.t)), repr(float(r.analytic)),
-                     repr(float(r.empirical)), repr(float(r.se)), r.n, r.verdict])
-    return rows
-
-
-def reports_to_csv(reports: Sequence[BoundReport], path):
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(reports_to_rows(reports))
-
-
-def reports_to_json(reports: Sequence[BoundReport]) -> str:
-    return json.dumps([
-        {"kind": r.kind, "l": r.layer, "t": r.t, "analytic": r.analytic,
-         "empirical": r.empirical, "se": r.se, "n": r.n, "verdict": r.verdict}
-        for r in reports
-    ], sort_keys=True, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,9 @@ frequency ``exceeds`` the bound.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence
 
 import numpy as np
 
@@ -191,14 +189,3 @@ def _audit_input(spec: NetworkSpec, score_spec: ScoreSpec, x: np.ndarray,
     return AuditRow(input_id=i, estimate=est, se=se, label=d.label, t=d.t,
                     bound=d.error_bound, empirical=disagree,
                     empirical_se=emp_se, verdict=verdict)
-
-
-def audit_to_csv(rows: Sequence[AuditRow], path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["input_id", "estimate", "se", "label", "t", "bound",
-                    "empirical", "verdict"])
-        for r in rows:
-            w.writerow([r.input_id, repr(float(r.estimate)), repr(float(r.se)),
-                        r.label, repr(float(r.t)), repr(float(r.bound)),
-                        repr(float(r.empirical)), r.verdict])

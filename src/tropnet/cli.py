@@ -45,8 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report errors as JSON on stdout")
         if name == "select-layers":
             p.add_argument("--horizon", type=int, default=None)
-            p.add_argument("--method", default=None,
-                           choices=["deterministic", "exact", "lsmc"])
+            p.add_argument("--method", default=None)
             p.add_argument("--gamma-table", default=None,
                            help="CSV file of realized utilities")
             p.add_argument("--basis-degree", type=int, default=None)
@@ -85,21 +84,15 @@ def main(argv=None) -> int:
             with open(args.config) as fh:
                 raw = json.load(fh)
         elif args.subcommand == "select-layers":
-            raw = {"select_layers": {}}
+            raw = {}
         else:
             return _fail("--config is required", args.json_errors)
 
         if args.subcommand == "select-layers":
             opts = raw.setdefault("select_layers", {})
-            if args.method:
-                opts["method"] = args.method
-            if args.gamma_table:
-                opts["gamma_table"] = args.gamma_table
-            if args.horizon is not None:
-                opts["horizon"] = args.horizon
-            if args.basis_degree is not None:
-                opts["basis_degree"] = args.basis_degree
-            opts.setdefault("method", "deterministic")
+            for key in ("method", "gamma_table", "horizon", "basis_degree"):
+                if getattr(args, key) is not None:
+                    opts[key] = getattr(args, key)
         if args.seed is not None:
             raw["seed"] = args.seed
         if args.workers is not None:

@@ -17,12 +17,15 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
+import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,16 +33,13 @@ from . import __version__
 from .bounds import (
     martingale_grade_check,
     region_count_concentration,
-    reports_to_csv,
-    reports_to_json,
     simulate_random_walk,
     verify_layer_concentration,
     walk_tail_reports,
 )
-from .classifier import ScoreSpec, audit_to_csv, disagreement_audit
+from .classifier import ScoreSpec, disagreement_audit
 from .networks import (
     NetworkSpec,
-    SpecError,
     network_spec_from_dict,
     propagate_intervals,
     run_network,
@@ -61,9 +61,6 @@ EXIT_VIOLATION = 2
 #: Environment variable overriding the output directory.
 OUT_DIR_ENV = "TROPNET_OUT"
 
-SUBCOMMANDS = ("simulate", "bounds", "classify", "select-layers",
-               "regions", "mgale-check")
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the field path."""
@@ -73,18 +70,109 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def _req(data: dict, key: str, path: str):
-    if key not in data:
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    return data[key]
+# ---------------------------------------------------------------------------
+# Configuration schema
+# ---------------------------------------------------------------------------
+
+class _Opt(NamedTuple):
+    """One option: ``ok(value, network)`` checks a given value (or ``ok`` holds
+    a nested object's options); ``default`` is the value when absent, or a
+    callable of the options parsed so far and the field path that derives
+    it or raises; ``build`` makes the object the runner uses."""
+
+    type: str
+    ok: Callable | dict
+    default: object = None
+    build: Callable | None = None
 
 
-def _typed(value, types, path: str):
-    if not isinstance(value, types):
-        names = types.__name__ if isinstance(types, type) else \
-            "/".join(t.__name__ for t in types)
-        raise ConfigError(path, f"expected {names}, got {type(value).__name__}")
-    return value
+def _parse(options: dict, data, path: str, network) -> dict:
+    """Checked and defaulted options of one object; errors name the field."""
+    if not isinstance(data, dict):
+        raise ConfigError(path, f"expected an object, got {data!r:.80}")
+    out = {}
+    for key, opt in options.items():
+        where = f"{path}.{key}"
+        if key not in data:
+            out[key] = opt.default(out, where) if callable(opt.default) else opt.default
+            continue
+        value = data[key]
+        if isinstance(opt.ok, dict):
+            value = _parse(opt.ok, value, where, network)
+        elif not opt.ok(value, network):
+            raise ConfigError(where, f"expected {opt.type}, got {value!r:.80}")
+        if opt.build is not None:
+            try:
+                value = opt.build(value)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(where, str(exc)) from exc
+        out[key] = value
+    return out
+
+
+def _needed(message="missing required field", when=lambda options: True):
+    """Default of an option that must be given when ``when(options)`` holds."""
+    def default(options, where):
+        if when(options):
+            raise ConfigError(where, message)
+    return default
+
+
+def _number(v, network=None) -> bool:
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:  # an int past float range
+        return False
+
+
+def _array(v, ndim: int = 1) -> bool:
+    """Is ``v`` a nonempty list that reads as a finite ``ndim``-d array?"""
+    try:
+        a = np.asarray(v, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return isinstance(v, list) and a.ndim == ndim and a.size > 0 \
+        and bool(np.isfinite(a).all())
+
+
+def _point(v, network) -> bool:
+    return _array(v) and len(v) == network.d
+
+
+def _int(lo: int, default) -> _Opt:
+    return _Opt(f"int >= {lo}", lambda v, net: type(v) is int and v >= lo, default)
+
+
+def _list(of: str, ok, default, nonempty=True) -> _Opt:
+    return _Opt(f"{'nonempty ' * nonempty}list of {of}", lambda v, net: isinstance(v, list)
+                and len(v) >= nonempty and all(ok(x, net) for x in v), default)
+
+
+def _str(default) -> _Opt:
+    return _Opt("str", lambda v, net: isinstance(v, str), default)
+
+
+def _one_of(*names: str) -> _Opt:
+    """One of ``names``; the first is the default."""
+    return _Opt(" | ".join(names), lambda v, net: v in names, names[0])
+
+
+#: Options at the top level of every config.
+_CONFIG = {
+    "seed": _int(0, 0),
+    "workers": _int(1, 1),
+    "out": _str("artifacts"),
+    "network": _Opt("object", lambda v, net: isinstance(v, dict), None,
+                    network_spec_from_dict),
+    "score": _Opt("object", {
+        "kind": _str(ScoreSpec.kind),
+        "a": _Opt("number", _number, ScoreSpec.a),
+        "b": _Opt("number", _number, ScoreSpec.b),
+        "c": _Opt("number", _number, ScoreSpec.c),
+        "table": _list("[v, s] pairs", lambda v, net: _array(v) and len(v) == 2,
+                       ScoreSpec.table, nonempty=False),
+    }, ScoreSpec(), lambda o: ScoreSpec(**dict(o, table=tuple(map(tuple, o["table"]))))),
+}
 
 
 @dataclass
@@ -92,13 +180,13 @@ class ExperimentConfig:
     """Validated configuration of one harness run."""
 
     subcommand: str
-    seed: int = 0
-    workers: int = 1
-    out_dir: str = "artifacts"
-    network: NetworkSpec | None = None
-    score: ScoreSpec | None = None
-    options: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+    seed: int
+    workers: int
+    out_dir: str
+    network: NetworkSpec | None
+    score: ScoreSpec
+    options: dict
+    raw: dict
 
     @property
     def config_hash(self) -> str:
@@ -108,94 +196,23 @@ class ExperimentConfig:
 
 
 def parse_config(subcommand: str, data: dict) -> ExperimentConfig:
-    """Validate a raw config dict for the given subcommand."""
-    if subcommand not in SUBCOMMANDS:
+    """Validate a raw config dict for the given subcommand.
+
+    Every option of the result is type-checked and defaulted from the schema.
+    """
+    if subcommand not in _COMMANDS:
         raise ConfigError("subcommand", f"unknown subcommand {subcommand!r}")
-    _typed(data, dict, "config")
-    cfg = ExperimentConfig(subcommand=subcommand, raw=data)
-    cfg.seed = int(_typed(data.get("seed", 0), (int,), "config.seed"))
-    cfg.workers = int(_typed(data.get("workers", 1), (int,), "config.workers"))
-    if cfg.workers < 1:
-        raise ConfigError("config.workers", "must be at least 1")
-    cfg.out_dir = str(data.get("out", "artifacts"))
-
-    if "network" in data:
-        try:
-            cfg.network = network_spec_from_dict(_typed(data["network"], dict,
-                                                        "config.network"))
-        except (SpecError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("config.network", str(exc)) from exc
-    if "score" in data:
-        sd = _typed(data["score"], dict, "config.score")
-        try:
-            cfg.score = ScoreSpec(kind=sd.get("kind", "sigmoid"),
-                                  a=sd.get("a", 0.0), b=sd.get("b", 1.0),
-                                  c=sd.get("c", 0.5),
-                                  table=tuple(tuple(p) for p in sd.get("table", ())))
-        except ValueError as exc:
-            raise ConfigError("config.score", str(exc)) from exc
-
-    section = subcommand.replace("-", "_")
-    cfg.options = _typed(data.get(section, {}), dict, f"config.{section}")
-
-    needs_network = {"simulate": True, "bounds": True, "classify": True,
-                     "select-layers": False, "regions": False, "mgale-check": False}
-    if needs_network[subcommand] and cfg.network is None:
+    top = _parse(_CONFIG, data, "config", None)
+    command, name = _COMMANDS[subcommand], subcommand.replace("-", "_")
+    section = data.get(name, {})
+    if isinstance(section, dict) and top["network"] is None \
+            and command.needs_network(section):
         raise ConfigError("config.network", f"{subcommand} needs a network spec")
-    if subcommand == "classify" and cfg.score is None:
-        cfg.score = ScoreSpec()
-    _validate_options(subcommand, cfg)
-    return cfg
-
-
-def _validate_options(subcommand: str, cfg: ExperimentConfig):
-    opts = cfg.options
-    section = f"config.{subcommand.replace('-', '_')}"
-    if subcommand == "simulate":
-        n = opts.get("n", 10)
-        if not isinstance(n, int) or n < 1:
-            raise ConfigError(f"{section}.n", "must be a positive integer")
-    elif subcommand == "bounds":
-        n = opts.get("n", 10_000)
-        if not isinstance(n, int) or n < 1000:
-            raise ConfigError(f"{section}.n", "must be an integer >= 1000")
-        grid = opts.get("t_grid")
-        if grid is not None and (not isinstance(grid, list) or not grid):
-            raise ConfigError(f"{section}.t_grid", "must be a nonempty list")
-        layers, depth = opts.get("layers"), cfg.network.depth
-        if layers is not None and (not isinstance(layers, list) or not layers or any(
-                type(l) is not int or not 1 <= l <= depth for l in layers)):
-            raise ConfigError(f"{section}.layers",
-                              f"must be a nonempty list of layers in 1..{depth}")
-    elif subcommand == "classify":
-        inputs = _req(opts, "inputs", section)
-        if not isinstance(inputs, list) or not inputs:
-            raise ConfigError(f"{section}.inputs", "must be a nonempty list of points")
-    elif subcommand == "select-layers":
-        method = opts.get("method", "deterministic")
-        if method not in ("deterministic", "exact", "lsmc"):
-            raise ConfigError(f"{section}.method", f"unknown method {method!r}")
-        if method == "deterministic" and "gamma_table" not in opts \
-                and "gamma" not in opts:
-            raise ConfigError(f"{section}.gamma_table",
-                              "deterministic selection needs a gamma table")
-        if method == "exact" and "process" not in opts:
-            raise ConfigError(f"{section}.process",
-                              "exact induction needs a finite-support process")
-    elif subcommand == "regions":
-        if "polynomial" not in opts and "sample" not in opts:
-            raise ConfigError(f"{section}.polynomial",
-                              "regions needs a polynomial or a sample block")
-        if "sample" in opts and cfg.network is None:
-            raise ConfigError("config.network",
-                              "sampled region counting needs a network spec")
-    elif subcommand == "mgale-check":
-        source = opts.get("source", "random-walk")
-        if source not in ("random-walk", "network"):
-            raise ConfigError(f"{section}.source", f"unknown source {source!r}")
-        if source == "network" and cfg.network is None:
-            raise ConfigError("config.network",
-                              "network martingale checks need a network spec")
+    return ExperimentConfig(
+        subcommand=subcommand, seed=top["seed"], workers=top["workers"],
+        out_dir=top["out"], network=top["network"], score=top["score"],
+        options=_parse(command.options, section, f"config.{name}", top["network"]),
+        raw=data)
 
 
 # ---------------------------------------------------------------------------
@@ -213,57 +230,37 @@ def _mapper(workers: int):
 
 
 # ---------------------------------------------------------------------------
-# Manifest
+# Artifacts and manifest
 # ---------------------------------------------------------------------------
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-@dataclass
-class RunManifest:
-    """Checksummed record of one harness run."""
-
-    config_hash: str
-    seed: int
-    version: str
-    files: dict
-    timings: dict
-
-    def write(self, out_dir: Path):
-        with open(out_dir / "manifest.json", "w") as fh:
-            json.dump(dataclasses.asdict(self), fh, sort_keys=True, indent=1,
-                      allow_nan=False)
-
-
 class _OutDir:
-    """Output directory of one run; ``out / name`` records ``name`` as written.
+    """Output directory of one run, and the one writer of its artifacts.
 
-    The manifest lists only these names, never files that earlier runs left
-    in the same directory.
+    ``written`` maps each artifact written here to its sha256; the manifest
+    lists only these, never files that earlier runs left in the directory.
     """
 
     def __init__(self, path: Path):
         self.path = path
-        self.written: set[str] = set()
+        self.written: dict[str, str] = {}
 
-    def __truediv__(self, name: str) -> Path:
-        self.written.add(name)
-        return self.path / name
+    def _write(self, name: str, text: str):
+        data = text.encode()
+        (self.path / name).write_bytes(data)
+        self.written[name] = hashlib.sha256(data).hexdigest()
 
+    def write_csv(self, name: str, header, rows):
+        """CSV with a header row; float cells are written as ``repr(float)``."""
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(header)
+        w.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                     for v in row] for row in rows)
+        self._write(name, buf.getvalue())
 
-def _finish(cfg: ExperimentConfig, out: _OutDir, t0: float,
-            exit_code: int) -> tuple[int, dict]:
-    files = {name: _sha256(out.path / name) for name in sorted(out.written)}
-    manifest = RunManifest(config_hash=cfg.config_hash, seed=cfg.seed,
-                           version=__version__, files=files,
-                           timings={"wall_seconds": time.time() - t0})
-    manifest.write(out.path)
-    return exit_code, files
+    def write_json(self, name: str, obj, indent=None):
+        """Key-sorted JSON that refuses NaN and infinities."""
+        self._write(name, json.dumps(obj, sort_keys=True, allow_nan=False, indent=indent))
 
 
 # ---------------------------------------------------------------------------
@@ -279,27 +276,30 @@ def run_subcommand(name: str, cfg: ExperimentConfig,
                    out_dir: str | None = None) -> tuple[int, dict]:
     """Execute a subcommand; returns (exit_code, artifact checksums)."""
     t0 = time.time()
-    out = Path(os.environ.get(OUT_DIR_ENV) or out_dir or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    runner = {
-        "simulate": _run_simulate,
-        "bounds": _run_bounds,
-        "classify": _run_classify,
-        "select-layers": _run_select_layers,
-        "regions": _run_regions,
-        "mgale-check": _run_mgale_check,
-    }[name]
-    written = _OutDir(out)
-    code = runner(cfg, written)
-    return _finish(cfg, written, t0, code)
+    out = _OutDir(Path(os.environ.get(OUT_DIR_ENV) or out_dir or cfg.out_dir))
+    out.path.mkdir(parents=True, exist_ok=True)
+    code = _COMMANDS[name].run(cfg, out)
+    files = dict(sorted(out.written.items()))
+    out.write_json("manifest.json", {
+        "config_hash": cfg.config_hash, "seed": cfg.seed, "version": __version__,
+        "files": files, "timings": {"wall_seconds": time.time() - t0}}, indent=1)
+    return code, files
+
+
+def _write_reports(out: _OutDir, reports, name: str, json_name: str | None = None):
+    """Bound reports as CSV, and as JSON records when ``json_name`` is given."""
+    columns = ("kind", "l", "t", "analytic", "empirical", "se", "n", "verdict")
+    rows = [(r.kind, r.layer, r.t, r.analytic, r.empirical, r.se, r.n, r.verdict)
+            for r in reports]
+    out.write_csv(name, columns, rows)
+    if json_name is not None:
+        out.write_json(json_name, [dict(zip(columns, row)) for row in rows])
 
 
 def _run_simulate(cfg: ExperimentConfig, out: _OutDir) -> int:
-    opts = cfg.options
-    n = opts.get("n", 10)
-    x_fixed = opts.get("input")
+    x_fixed = cfg.options["input"]
     runs = []
-    for i in range(n):
+    for i in range(cfg.options["n"]):
         seed_i = item_seed(cfg.seed, "simulate", i)
         if x_fixed is not None:
             x = np.asarray(x_fixed, dtype=float)
@@ -308,96 +308,70 @@ def _run_simulate(cfg: ExperimentConfig, out: _OutDir) -> int:
             x = stream(cfg.seed, "simulate-x", i).uniform(box[:, 0], box[:, 1])
         runs.append((i, run_network(cfg.network, x, seed_i)))
 
-    with open(out / "runs.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run", "layer", "unit", "f", "g", "h", "nu"])
-        for i, run in runs:
-            for l in range(len(run.f)):
-                h = run.h[l - 1] if l >= 1 else None
-                for u in range(len(run.f[l])):
-                    w.writerow([i, l, u, repr(float(run.f[l][u])),
-                                repr(float(run.g[l][u])),
-                                "" if h is None else repr(float(h[u])),
-                                repr(float(run.nu[l][u]))])
-    with open(out / "runs.json", "w") as fh:
-        json.dump([dict(run=i, **run.to_dict()) for i, run in runs],
-                  fh, sort_keys=True, allow_nan=False)
+    out.write_csv("runs.csv", ["run", "layer", "unit", "f", "g", "h", "nu"], (
+        [i, l, u, run.f[l][u], run.g[l][u], None if l == 0 else run.h[l - 1][u],
+         run.nu[l][u]]
+        for i, run in runs for l in range(len(run.f)) for u in range(len(run.f[l]))))
+    out.write_json("runs.json", [dict(run=i, **run.to_dict()) for i, run in runs])
     return EXIT_OK
 
 
 def _run_bounds(cfg: ExperimentConfig, out: _OutDir) -> int:
     opts = cfg.options
-    n = opts.get("n", 10_000)
-    t_grid = opts.get("t_grid")
+    t_grid = opts["t_grid"]
     if t_grid is None:
         # Default grid spans the certificate scale of the deepest layer.
         xi = propagate_intervals(cfg.network)[-1].xi
         t_grid = list(np.linspace(0.0, 2.0 * xi, 10))
     with _mapper(cfg.workers) as pool_map:
         reports = verify_layer_concentration(
-            cfg.network, t_grid, n=n, seed=cfg.seed,
-            layers=opts.get("layers"), pilot_n=opts.get("pilot_n"), map=pool_map)
-    reports_to_csv(reports, out / "bound_reports.csv")
-    with open(out / "bound_reports.json", "w") as fh:
-        fh.write(reports_to_json(reports))
+            cfg.network, t_grid, n=opts["n"], seed=cfg.seed,
+            layers=opts["layers"], pilot_n=opts["pilot_n"], map=pool_map)
+    _write_reports(out, reports, "bound_reports.csv", "bound_reports.json")
     return _verdict_code(reports)
 
 
 def _run_classify(cfg: ExperimentConfig, out: _OutDir) -> int:
     opts = cfg.options
-    inputs = [np.asarray(p, dtype=float).reshape(-1) for p in opts["inputs"]]
+    inputs = [np.asarray(p, dtype=float) for p in opts["inputs"]]
     with _mapper(cfg.workers) as pool_map:
         rows = disagreement_audit(cfg.network, cfg.score, inputs,
-                                  n=opts.get("n", 10_000), seed=cfg.seed, map=pool_map)
-    audit_to_csv(rows, out / "audit.csv")
+                                  n=opts["n"], seed=cfg.seed, map=pool_map)
+    out.write_csv("audit.csv", ["input_id", "estimate", "se", "label", "t", "bound",
+                                "empirical", "verdict"],
+                  [(r.input_id, r.estimate, r.se, r.label, r.t, r.bound, r.empirical,
+                    r.verdict) for r in rows])
     return _verdict_code(rows)
 
 
-def _load_gamma_table(opts: dict):
-    if "gamma" in opts:
-        return np.asarray(opts["gamma"], dtype=float)
-    path = opts["gamma_table"]
-    table = np.genfromtxt(path, delimiter=",", dtype=float)
-    return np.atleast_1d(table)
+def _lsmc_on_network(options) -> bool:
+    return options["method"] == "lsmc" and options["gamma"] is None \
+        and options["gamma_table"] is None
 
 
 def _run_select_layers(cfg: ExperimentConfig, out: _OutDir) -> int:
     opts = cfg.options
-    method = opts.get("method", "deterministic")
-    kwargs = dict(seed=cfg.seed, basis_degree=opts.get("basis_degree", 3))
-    if method == "deterministic":
-        gamma = _load_gamma_table(opts).reshape(-1)
-        if "horizon" in opts:
-            gamma = gamma[: int(opts["horizon"])]
-        sol = select_layers("deterministic", gamma=gamma)
-    elif method == "exact":
-        proc = opts["process"]
-        process = FiniteSupportProcess(
-            values=tuple(np.asarray(v, dtype=float) for v in proc["values"]),
-            initial=np.asarray(proc["initial"], dtype=float),
-            transitions=tuple(np.asarray(t, dtype=float)
-                              for t in proc.get("transitions", ())))
-        sol = select_layers("exact", process=process)
+    if opts["method"] == "exact":
+        sol = select_layers("exact", process=opts["process"])
+    elif _lsmc_on_network(opts):
+        gamma_spec = GammaSpec(horizon=opts["horizon"], penalty_c=opts["penalty_c"])
+        sol = select_layers(
+            "lsmc", network_spec=cfg.network, gamma_spec=gamma_spec,
+            y_star=np.asarray(opts["y_star"], dtype=float),
+            n_trajectories=opts["n_trajectories"], seed=cfg.seed,
+            basis_degree=opts["basis_degree"])
     else:
-        if "gamma_table" in opts or "gamma" in opts:
-            traj = np.atleast_2d(_load_gamma_table(opts))
-            sol = select_layers("lsmc", gamma=traj, **kwargs)
+        gamma = np.asarray(opts["gamma"] if opts["gamma"] is not None else
+                           np.genfromtxt(opts["gamma_table"], delimiter=",", dtype=float),
+                           dtype=float)
+        if opts["method"] == "deterministic":
+            sol = select_layers("deterministic", gamma=gamma.reshape(-1)[: opts["horizon"]])
         else:
-            horizon = int(_req(opts, "horizon", "config.select_layers"))
-            gamma_spec = GammaSpec(horizon=horizon,
-                                   penalty_c=opts.get("penalty_c", 1.0))
-            sol = select_layers(
-                "lsmc", network_spec=cfg.network, gamma_spec=gamma_spec,
-                y_star=np.asarray(_req(opts, "y_star", "config.select_layers"),
-                                  dtype=float),
-                n_trajectories=opts.get("n_trajectories", 10_000), **kwargs)
-    with open(out / "selection.json", "w") as fh:
-        json.dump(sol.to_dict(), fh, sort_keys=True, allow_nan=False)
-    with open(out / "envelope.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["L", "snell"])
-        for l, s in enumerate(sol.snell_mean, start=1):
-            w.writerow([l, repr(float(s))])
+            sol = select_layers("lsmc", gamma=np.atleast_2d(gamma), seed=cfg.seed,
+                                basis_degree=opts["basis_degree"])
+    out.write_json("selection.json", sol.to_dict())
+    out.write_csv("envelope.csv", ["L", "snell"],
+                  enumerate(sol.snell_mean, start=1))
     return EXIT_OK
 
 
@@ -408,67 +382,49 @@ def _symbolic_region_count(network, seed, cap):
 
 
 def _run_regions(cfg: ExperimentConfig, out: _OutDir) -> int:
-    opts = cfg.options
-    if "polynomial" in opts:
-        poly = polynomial_from_dict(opts["polynomial"])
+    poly, sample = cfg.options["polynomial"], cfg.options["sample"]
+    if poly is not None:
         exact = count_linear_regions(poly, method="exact-lp")
         grid = count_linear_regions(poly, method="grid-oracle")
-        with open(out / "regions.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["method", "count", "dim"])
-            w.writerow(["exact-lp", exact.count, exact.dim])
-            w.writerow(["grid-oracle", grid.count, grid.dim])
-        with open(out / "regions.json", "w") as fh:
-            json.dump({"exact_lp": exact.count, "grid_oracle": grid.count,
-                       "dim": exact.dim}, fh, sort_keys=True, allow_nan=False)
-    else:
-        sample = opts["sample"]
-        count = int(sample.get("count", 100))
-        cap = int(sample.get("cap", 10_000))
-        if cfg.network.p != 1 or cfg.network.thresholds[-1] != "identity":
-            raise ConfigError("config.network",
-                              "region sampling needs a scalar output with an "
-                              "identity last layer")
-        seeds = [item_seed(cfg.seed, "regions", i) for i in range(count)]
-        with _mapper(cfg.workers) as pool_map:
-            results = list(pool_map(_symbolic_region_count, repeat(cfg.network),
-                                    seeds, repeat(cap)))
-        with open(out / "regions.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["seed", "monomials", "regions"])
-            for seed_i, monos, cnt in results:
-                w.writerow([seed_i, monos, cnt])
-        counts = [cnt for _, _, cnt in results]
-        b1 = int(sample.get("b1", max(m for _, m, _ in results)))
-        t_grid = sample.get("t_grid")
-        if t_grid:
-            reports = region_count_concentration(counts, b1, t_grid)
-            reports_to_csv(reports, out / "region_reports.csv")
-            return _verdict_code(reports)
-    return EXIT_OK
+        out.write_csv("regions.csv", ["method", "count", "dim"],
+                      [["exact-lp", exact.count, exact.dim],
+                       ["grid-oracle", grid.count, grid.dim]])
+        out.write_json("regions.json", {"exact_lp": exact.count,
+                                        "grid_oracle": grid.count, "dim": exact.dim})
+        return EXIT_OK
+    if cfg.network.p != 1 or cfg.network.thresholds[-1] != "identity":
+        raise ConfigError("config.network",
+                          "region sampling needs a scalar output with an "
+                          "identity last layer")
+    seeds = [item_seed(cfg.seed, "regions", i) for i in range(sample["count"])]
+    with _mapper(cfg.workers) as pool_map:
+        results = list(pool_map(_symbolic_region_count, repeat(cfg.network),
+                                seeds, repeat(sample["cap"])))
+    out.write_csv("regions.csv", ["seed", "monomials", "regions"], results)
+    if sample["t_grid"] is None:
+        return EXIT_OK
+    b1 = sample["b1"] or max(m for _, m, _ in results)
+    reports = region_count_concentration([cnt for _, _, cnt in results], b1,
+                                         sample["t_grid"])
+    _write_reports(out, reports, "region_reports.csv")
+    return _verdict_code(reports)
 
 
 def _run_mgale_check(cfg: ExperimentConfig, out: _OutDir) -> int:
     opts = cfg.options
-    source = opts.get("source", "random-walk")
-    if source == "random-walk":
-        steps = int(opts.get("steps", 20))
-        n = int(opts.get("n", 100_000))
-        dim = int(opts.get("dim", 1))
-        a_grid = opts.get("a_grid") or list(np.linspace(1.0, 6.0, 10))
-        traj = simulate_random_walk(steps, n, seed=cfg.seed, dim=dim)
+    n, a_grid = opts["n"], opts["a_grid"]
+    if opts["source"] == "random-walk":
+        traj = simulate_random_walk(opts["steps"], n, seed=cfg.seed, dim=opts["dim"])
         reports = walk_tail_reports(traj, a_grid, m=1.0)
-        reports_to_csv(reports, out / "walk_reports.csv")
-        grade_n = int(opts.get("n_grade", 0))
-        if grade_n:
-            grade = martingale_grade_check(traj[:grade_n], seed=cfg.seed)
+        _write_reports(out, reports, "walk_reports.csv")
+        if opts["n_grade"]:
+            grade = martingale_grade_check(traj[:opts["n_grade"]], seed=cfg.seed)
             _write_grade(grade, out)
     else:
         widths = set(cfg.network.widths[1:])
         if len(widths) != 1:
             raise ConfigError("config.network",
                               "martingale checks need a rectangular network")
-        n = int(opts.get("n", 5000))
         outs = simulate_layer_outputs(cfg.network, n, cfg.seed, tag="mgale")
         nus = np.stack(outs, axis=1)  # (n, L, p)
         centered = nus - nus.mean(axis=0, keepdims=True)
@@ -476,21 +432,90 @@ def _run_mgale_check(cfg: ExperimentConfig, out: _OutDir) -> int:
         traj = np.concatenate([zeros, centered], axis=1)
         grade = martingale_grade_check(traj, seed=cfg.seed)
         _write_grade(grade, out)
-        reports = walk_tail_reports(traj, opts.get("a_grid", [1.0, 2.0, 4.0]),
-                                    m=grade.increment_bound)
-        reports_to_csv(reports, out / "mgale_reports.csv")
+        reports = walk_tail_reports(traj, a_grid, m=grade.increment_bound)
+        _write_reports(out, reports, "mgale_reports.csv")
     return _verdict_code(reports)
 
 
 def _write_grade(grade, out: _OutDir):
-    with open(out / "grade_report.json", "w") as fh:
-        json.dump({
-            "very_weak_falsified": grade.very_weak_falsified,
-            "weak_falsified": grade.weak_falsified,
-            "worst_pair": list(grade.worst_pair),
-            "worst_function": grade.worst_function,
-            "increment_bound": grade.increment_bound,
-        }, fh, sort_keys=True, allow_nan=False)
+    report = dataclasses.asdict(grade)
+    del report["pair_reports"]  # the convex-order detail of every pair
+    out.write_json("grade_report.json", report)
+
+
+class _Command(NamedTuple):
+    """A subcommand: its options, when it needs a network, and its runner."""
+
+    options: dict
+    needs_network: Callable  # of the raw section
+    run: Callable
+
+
+_COMMANDS = {
+    "simulate": _Command({
+        "n": _int(1, 10),
+        "input": _Opt("list of d numbers", _point),
+    }, lambda section: True, _run_simulate),
+    "bounds": _Command({
+        "n": _int(1000, 10_000),
+        "t_grid": _list("numbers", _number, None),
+        "layers": _list("layers in 1..depth",
+                        lambda v, net: type(v) is int and 1 <= v <= net.depth, None),
+        "pilot_n": _int(1, lambda options, where: options["n"]),
+    }, lambda section: True, _run_bounds),
+    "classify": _Command({
+        "inputs": _list("points of d numbers", _point, _needed()),
+        "n": _int(1000, 10_000),
+    }, lambda section: True, _run_classify),
+    "select-layers": _Command({
+        "method": _one_of("deterministic", "exact", "lsmc"),
+        "gamma": _Opt("list or matrix of numbers", lambda v, net: _array(v) or _array(v, 2)),
+        "gamma_table": _str(_needed(
+            "deterministic selection needs a gamma table",
+            lambda o: o["method"] == "deterministic" and o["gamma"] is None)),
+        "horizon": _int(1, _needed(when=_lsmc_on_network)),
+        "y_star": _Opt("nonempty list of numbers", lambda v, net: _array(v),
+                       _needed(when=_lsmc_on_network)),
+        "process": _Opt("object", {
+            "values": _list("nonempty lists of numbers", lambda v, net: _array(v),
+                            _needed()),
+            "initial": _Opt("nonempty list of numbers", lambda v, net: _array(v),
+                            _needed()),
+            "transitions": _list("matrices", lambda v, net: _array(v, 2), [],
+                                 nonempty=False),
+        }, _needed("exact induction needs a finite-support process",
+                   lambda o: o["method"] == "exact"),
+            lambda o: FiniteSupportProcess(**o)),
+        "basis_degree": _int(1, 3),
+        "penalty_c": _Opt("number > 0", lambda v, net: _number(v) and v > 0,
+                          GammaSpec.penalty_c),
+        "n_trajectories": _int(1, 10_000),
+    }, lambda section: False, _run_select_layers),
+    "regions": _Command({
+        "sample": _Opt("object", {
+            "count": _int(1, 100),
+            "cap": _int(1, 10_000),
+            "b1": _int(2, None),
+            "t_grid": _list("numbers", _number, None),
+        }),
+        "polynomial": _Opt("object", lambda v, net: isinstance(v, dict), _needed(
+            "regions needs a polynomial or a sample block",
+            lambda o: o["sample"] is None), polynomial_from_dict),
+    }, lambda section: "sample" in section, _run_regions),
+    "mgale-check": _Command({
+        "source": _one_of("random-walk", "network"),
+        "n": _int(1000, lambda o, where: 100_000 if o["source"] == "random-walk"
+                  else 5000),
+        "a_grid": _list("numbers > 0", lambda v, net: _number(v) and v > 0,
+                        lambda o, where: list(np.linspace(1.0, 6.0, 10))
+                        if o["source"] == "random-walk" else [1.0, 2.0, 4.0]),
+        "steps": _int(1, 20),
+        "dim": _int(1, 1),
+        "n_grade": _int(0, 0),
+    }, lambda section: section.get("source") == "network", _run_mgale_check),
+}
+
+SUBCOMMANDS = tuple(_COMMANDS)
 
 
 # ---------------------------------------------------------------------------

@@ -734,10 +734,11 @@ def propagate_intervals(spec: NetworkSpec) -> list[LayerIntervals]:
 
     The propagation mirrors the pair recursion with elementwise interval
     arithmetic, so every realizable trajectory of a bounded spec stays
-    inside the certified intervals.
+    inside the certified intervals.  Raises ``SpecError`` at the first layer
+    whose intervals overflow.
     """
     (f_lo, f_hi), (g_lo, g_hi) = _init_intervals(spec)
-    out = [LayerIntervals(f_lo, f_hi, g_lo, g_hi)]
+    out = [_finite_intervals(0, LayerIntervals(f_lo, f_hi, g_lo, g_hi))]
     for l in range(1, spec.depth + 1):
         n_out = spec.widths[l]
         w = spec.weight_dist_for(l)
@@ -769,8 +770,18 @@ def propagate_intervals(spec: NetworkSpec) -> list[LayerIntervals]:
             t_hi = np.full(n_out, spec.threshold_dist.hi)
         f_lo = np.maximum(h_lo, g_lo + t_lo)
         f_hi = np.maximum(h_hi, g_hi + t_hi)
-        out.append(LayerIntervals(f_lo, f_hi, g_lo, g_hi))
+        out.append(_finite_intervals(l, LayerIntervals(f_lo, f_hi, g_lo, g_hi)))
     return out
+
+
+def _finite_intervals(l: int, iv: LayerIntervals) -> LayerIntervals:
+    """``iv`` if its norm bound is finite; an inf bound makes the next
+    layer's products (inf * 0) NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(iv.xi):
+            return iv
+    raise SpecError(f"layer {l} intervals are not finite: the spec's "
+                    f"parameter windows overflow double precision")
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,11 @@ def trop_pow(a, b: int) -> float:
         if b < 0:
             raise UndefinedPowerError("bottom to a negative tropical power is undefined")
         return BOTTOM if b > 0 else ZERO
-    return _no_overflow(a * b, a, b)
+    try:
+        return _no_overflow(a * b, a, b)
+    except OverflowError:  # b is an int past float range
+        raise TropicalError(f"exponent of {b.bit_length()} bits overflows "
+                            f"a float") from None
 
 
 def _normalise(alpha: np.ndarray, coeff: np.ndarray):

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 import tropnet
+import tropnet.harness as harness
+from tropnet.bounds import BoundReport
 from tropnet.cli import main
 from tropnet.harness import (
     EXIT_ERROR,
@@ -129,6 +132,47 @@ INVALID_CONFIGS = {
                     "bias_dist": {"kind": "bounded-uniform-real",
                                   "lo": -8e307, "hi": 8e307}},
         "bounds": {"n": 1000, "t_grid": [1.0]}}, "SpecError: layer 2 outputs are not finite"),
+    # Without a t_grid the default grid reads the interval certificate,
+    # which overflows first.
+    "nonfinite-intervals": ("bounds", {
+        "network": {"widths": [2, 3, 3, 1], "r": 2,
+                    "thresholds": ["relu", "relu", "identity"],
+                    "weight_dist": {"kind": "bounded-uniform-integer", "lo": -3, "hi": 3},
+                    "bias_dist": {"kind": "bounded-uniform-real",
+                                  "lo": -8e307, "hi": 8e307}},
+        "bounds": {"n": 1000}}, "SpecError: layer 1 intervals are not finite"),
+    # Options of the right shape but the wrong type or range: each names its
+    # field instead of ending in a traceback or an unnamed error.
+    "mgale-dim-zero": ("mgale-check", {"mgale_check": {"dim": 0}},
+                       "config.mgale_check.dim"),
+    "mgale-a-grid-scalar": ("mgale-check", {"mgale_check": {"a_grid": 5}},
+                            "config.mgale_check.a_grid"),
+    "mgale-a-grid-empty": ("mgale-check", {"mgale_check": {"a_grid": []}},
+                           "config.mgale_check.a_grid"),
+    "mgale-steps-zero": ("mgale-check", {"mgale_check": {"steps": 0, "n_grade": 10}},
+                         "config.mgale_check.steps"),
+    "mgale-steps-string": ("mgale-check", {"mgale_check": {"steps": "x"}},
+                           "config.mgale_check.steps"),
+    "bounds-pilot-n-string": ("bounds", {"network": network_dict(),
+                                         "bounds": {"pilot_n": "abc"}},
+                              "config.bounds.pilot_n"),
+    "bounds-pilot-n-zero": ("bounds", {"network": network_dict(), "bounds": {"pilot_n": 0}},
+                            "config.bounds.pilot_n"),
+    "classify-n-string": ("classify", {"network": network_dict(widths=(2, 3, 1),
+                                                               last_identity=True),
+                                       "classify": {"n": "x", "inputs": [[0.0, 0.0]]}},
+                          "config.classify.n"),
+    "regions-sample-list": ("regions", {"network": network_dict(widths=(2, 2, 1),
+                                                                last_identity=True),
+                                        "regions": {"sample": [1]}},
+                            "config.regions.sample"),
+    "regions-count-zero": ("regions", {"network": network_dict(widths=(2, 2, 1),
+                                                               last_identity=True),
+                                       "regions": {"sample": {"count": 0}}},
+                           "config.regions.sample.count"),
+    "process-without-initial": ("select-layers", {"select_layers": {
+        "method": "exact", "process": {"values": [[1.0]]}}},
+        "config.select_layers.process.initial"),
 }
 
 
@@ -150,6 +194,47 @@ def test_cli_import_leaves_scipy_stats_out():
     code = "import sys, tropnet.cli; assert 'scipy.stats' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=str(Path(tropnet.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def schema_keys(options, prefix=""):
+    for key, opt in options.items():
+        yield prefix + key
+        if isinstance(opt.ok, dict):
+            yield from schema_keys(opt.ok, f"{prefix}{key}.")
+
+
+def test_readme_documents_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    keys = list(schema_keys(harness._CONFIG))
+    for name, command in harness._COMMANDS.items():
+        keys += schema_keys(command.options, name.replace("-", "_") + ".")
+    assert len(keys) > 40
+    missing = [key for key in keys if f"`{key}`" not in readme]
+    assert not missing, f"options missing from the README's table: {missing}"
+
+
+class TestArtifactWriter:
+    @staticmethod
+    def _bounds_with_reports(tmp_path, monkeypatch, reports):
+        monkeypatch.setattr(harness, "verify_layer_concentration",
+                            lambda *args, **kwargs: reports)
+        cfg = parse_config("bounds", {"network": network_dict(),
+                                      "bounds": {"n": 2000, "t_grid": [1.0]}})
+        return run_subcommand("bounds", cfg, out_dir=tmp_path)
+
+    def test_csv_round_trip(self, tmp_path, monkeypatch):
+        reports = [BoundReport(kind="nSG", layer=1, t=0.5, analytic=1.5,
+                               empirical=0.2, se=0.01, n=1000)]
+        self._bounds_with_reports(tmp_path, monkeypatch, reports)
+        rows = (tmp_path / "bound_reports.csv").read_text().strip().splitlines()
+        assert rows[0] == "kind,l,t,analytic,empirical,se,n,verdict"
+        assert rows[1].startswith("nSG,1,0.5,1.5,0.2,")
+
+    def test_json_rejects_nan(self, tmp_path, monkeypatch):
+        r = BoundReport(kind="nSG", layer=1, t=1.0, analytic=math.nan,
+                        empirical=0.0, se=0.0, n=1000)
+        with pytest.raises(ValueError):
+            self._bounds_with_reports(tmp_path, monkeypatch, [r])
 
 
 class TestSubcommands:
@@ -316,7 +401,6 @@ class TestItemSeeds:
 
 class TestExitCodes:
     def test_violated_verdict_logic(self):
-        from tropnet.bounds import BoundReport
         r = BoundReport(kind="nSG", layer=1, t=1.0, analytic=0.01,
                         empirical=0.9, se=0.001, n=1000)
         assert r.verdict == "violated"
@@ -324,9 +408,6 @@ class TestExitCodes:
     def test_any_violation_gates_exit_two(self, tmp_path, monkeypatch):
         # Correct math never violates its own bounds, so stub the verifier
         # to return one violated report and check the exit-code contract.
-        import tropnet.harness as harness
-        from tropnet.bounds import BoundReport
-
         def fake_verify(*args, **kwargs):
             return [BoundReport(kind="nSG", layer=1, t=1.0, analytic=0.01,
                                 empirical=0.9, se=0.001, n=1000)]

@@ -14,6 +14,7 @@ from scipy.stats import truncnorm
 
 import tropnet
 
+from tropnet.bounds import xi_certificate
 from tropnet.networks import (
     DistributionSpec,
     LayerSample,
@@ -491,6 +492,17 @@ class TestIntervals:
         intervals = propagate_intervals(spec)
         for l in range(1, 3):
             assert intervals[l].xi == pytest.approx(np.linalg.norm(run.nu[l]))
+
+    def test_overflowing_intervals_are_a_spec_error(self):
+        # Layer 1's bounds overflow to inf; the next layer's inf * 0 would
+        # make a NaN certificate.
+        spec = NetworkSpec(widths=(2, 3, 3, 1), r=2, weight_dist=uniform_int(-3, 3),
+                           bias_dist=uniform_real(-8e307, 8e307),
+                           thresholds=("relu", "relu", "identity"))
+        with pytest.raises(SpecError, match="layer 1 intervals are not finite"):
+            propagate_intervals(spec)
+        with pytest.raises(SpecError, match="layer 1 intervals are not finite"):
+            xi_certificate(spec, 3)
 
 
 class TestSpecJson:

@@ -159,7 +159,7 @@ class TestScalarOps:
         # -inf that would read as BOTTOM.
         for op in (lambda: trop_mul(1e308, 1e308), lambda: trop_mul(-1e308, -1e308),
                    lambda: trop_pow(1e308, 10), lambda: trop_pow(-1e308, 10),
-                   lambda: trop_pow(1e308, -10)):
+                   lambda: trop_pow(1e308, -10), lambda: trop_pow(2.0, 10**400)):
             with pytest.raises(TropicalError, match="overflow"):
                 op()
         # BOTTOM operands keep their semantics.
