@@ -65,6 +65,14 @@ def _fail(message: str, json_errors: bool) -> int:
     return EXIT_ERROR
 
 
+def _set_flags(target, args, keys):
+    """Copy the given flags into a config object; a target that is not an
+    object is left for ``parse_config`` to report."""
+    if isinstance(target, dict):
+        target.update({key: getattr(args, key) for key in keys
+                       if getattr(args, key) is not None})
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -88,15 +96,10 @@ def main(argv=None) -> int:
         else:
             return _fail("--config is required", args.json_errors)
 
-        if args.subcommand == "select-layers":
-            opts = raw.setdefault("select_layers", {})
-            for key in ("method", "gamma_table", "horizon", "basis_degree"):
-                if getattr(args, key) is not None:
-                    opts[key] = getattr(args, key)
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.workers is not None:
-            raw["workers"] = args.workers
+        if args.subcommand == "select-layers" and isinstance(raw, dict):
+            _set_flags(raw.setdefault("select_layers", {}), args,
+                       ("method", "gamma_table", "horizon", "basis_degree"))
+        _set_flags(raw, args, ("seed", "workers"))
 
         cfg = parse_config(args.subcommand, raw)
         code, _ = run_subcommand(args.subcommand, cfg, out_dir=args.out)

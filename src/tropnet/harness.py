@@ -221,7 +221,9 @@ def parse_config(subcommand: str, data: dict) -> ExperimentConfig:
 
 @contextlib.contextmanager
 def _mapper(workers: int):
-    """Yield ``map``, or the ``map`` of one process pool when ``workers > 1``."""
+    """Yield ``map``, or the ``map`` of one process pool of ``workers``
+    processes, at most one per CPU, when that is more than one."""
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         yield map
         return
@@ -532,30 +534,29 @@ def emit_report(artifact_dir) -> str:
     """Render a markdown summary of the artifacts in a directory.
 
     Pure function of the artifact contents: regenerating from the same
-    files is byte-identical.  Missing-but-expected artifacts are flagged
-    as gaps rather than errors.
+    files is byte-identical.  The manifest's files are rendered, or every
+    known artifact when there is no manifest; a missing one is flagged as
+    a gap rather than an error.  Files the manifest does not list, such as
+    those of an earlier run into the same directory, are left out.
     """
     out = Path(artifact_dir)
     lines = ["# Run report", ""]
     manifest_path = out / "manifest.json"
-    expected = list(_KNOWN_ARTIFACTS)
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text())
         lines += [f"- config hash: `{manifest['config_hash']}`",
                   f"- seed: {manifest['seed']}",
                   f"- version: {manifest['version']}", ""]
-        expected = sorted(set(manifest["files"]) | set(expected))
-        promised = set(manifest["files"])
+        expected = sorted(manifest["files"])
     else:
         lines += ["- GAP: manifest.json missing", ""]
-        promised = set(_KNOWN_ARTIFACTS)
+        expected = _KNOWN_ARTIFACTS
 
     found_any = False
     for name in expected:
         path = out / name
         if not path.exists():
-            if name in promised:
-                lines.append(f"- GAP: {name} missing")
+            lines.append(f"- GAP: {name} missing")
             continue
         found_any = True
         if name.endswith(".csv"):

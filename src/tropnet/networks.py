@@ -17,11 +17,16 @@ symbolic (tropical polynomial) forward pass; batched Monte Carlo
 (``simulate_layer_outputs``) carries only nu through the direct
 recursion, on integer weights as drawn.  An interval-arithmetic
 certificate bounds the layer output norms.
+
+The fields of ``NetworkSpec`` and ``DistributionSpec`` are the JSON format
+of a network: ``network_spec_to_dict`` and ``network_spec_from_dict`` walk
+them, so each key, default and range is declared once, in its dataclass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields, is_dataclass
 from itertools import repeat
 
 import numpy as np
@@ -49,12 +54,13 @@ class DistributionSpec:
     All kinds are bounded by construction; unbounded bases must be
     truncated into [lo, hi] before use (truncation is by rejection, or by
     inverse CDF when the window holds little mass, never by clipping, so no
-    boundary atoms are introduced).
+    boundary atoms are introduced).  The windowed kinds need ``lo`` and
+    ``hi``; a finite-support law takes them from its atoms.
     """
 
     kind: str
-    lo: float = 0.0
-    hi: float = 0.0
+    lo: float | None = None
+    hi: float | None = None
     mu: float = 0.0
     sigma: float = 1.0
     values: tuple = ()
@@ -63,8 +69,11 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise SpecError(f"unknown distribution kind {self.kind!r}")
-        if not (np.isfinite(float(self.mu)) and np.isfinite(float(self.sigma))):
+        mu, sigma = float(self.mu), float(self.sigma)
+        if not (np.isfinite(mu) and np.isfinite(sigma)):
             raise SpecError("mu and sigma must be finite")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "sigma", sigma)
         if self.kind == "finite-support":
             if not self.values:
                 raise SpecError("finite-support needs at least one atom")
@@ -86,6 +95,8 @@ class DistributionSpec:
             object.__setattr__(self, "lo", min(flat))
             object.__setattr__(self, "hi", max(flat))
         else:
+            if self.lo is None or self.hi is None:
+                raise SpecError(f"{self.kind} needs lo and hi")
             lo, hi = float(self.lo), float(self.hi)
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise SpecError("distribution bounds must be finite")
@@ -233,17 +244,27 @@ def degenerate(value) -> DistributionSpec:
 _THRESHOLD_MODES = ("relu", "identity", "random")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _check_law(value, name: str):
+    if not isinstance(value, DistributionSpec):
+        raise SpecError(f"{name} must be a law object, got {value!r:.80}")
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Architecture plus sampling law of a stochastic max-plus ReLU network.
 
     widths[0] is the input dimension, widths[-1] the output dimension.
     ``coeff_dists`` / ``exponent_dists`` may be a single spec shared by all
-    input coordinates or one spec per coordinate; the optional ``*_g``
-    variants override the second initialization polynomial family (the two
-    families need not agree).  ``init_mode="identity"`` pins the
-    initialization to F0(x) = x, G0(x) = 0 so that the layer-0 output is
-    the raw input.
+    input coordinates or one spec per coordinate; both initialization
+    polynomial families F0 and G0 draw from them, independently.
+    ``init_mode="identity"`` pins the initialization to F0(x) = x,
+    G0(x) = 0 so that the layer-0 output is the raw input.  The constructor
+    checks every field's type as well as its range, since specs are also
+    read from JSON.
     """
 
     widths: tuple[int, ...]
@@ -252,8 +273,6 @@ class NetworkSpec:
     bias_dist: DistributionSpec = uniform_real(-1.0, 1.0)
     coeff_dists: DistributionSpec | tuple = degenerate(0.0)
     exponent_dists: DistributionSpec | tuple = uniform_int(0, 1)
-    coeff_dists_g: DistributionSpec | tuple | None = None
-    exponent_dists_g: DistributionSpec | tuple | None = None
     init_mode: str = "random"
     thresholds: str | tuple[str, ...] = "relu"
     threshold_dist: DistributionSpec | None = None
@@ -263,58 +282,71 @@ class NetworkSpec:
     copula_rho: float = 0.0
 
     def __post_init__(self):
+        if not (isinstance(self.widths, (tuple, list)) and all(map(_is_int, self.widths))):
+            raise SpecError(f"widths must be a list of ints, got {self.widths!r:.80}")
         widths = tuple(int(w) for w in self.widths)
         if len(widths) < 2 or any(w <= 0 for w in widths):
             raise SpecError(f"widths must be positive with at least one layer, got {widths}")
         object.__setattr__(self, "widths", widths)
-        if self.r < 1:
-            raise SpecError("need at least one monomial per initial coordinate")
+        if not _is_int(self.r) or self.r < 1:
+            raise SpecError(f"r must be an int >= 1 (monomials per initial "
+                            f"coordinate), got {self.r!r:.80}")
         if self.init_mode not in ("random", "identity"):
             raise SpecError(f"unknown init_mode {self.init_mode!r}")
 
         thresholds = self.thresholds
         if isinstance(thresholds, str):
-            thresholds = tuple([thresholds] * self.depth)
-        thresholds = tuple(thresholds)
-        if len(thresholds) != self.depth:
+            thresholds = (thresholds,) * self.depth
+        if not isinstance(thresholds, (tuple, list)) or len(thresholds) != self.depth:
             raise SpecError(f"need one threshold mode per layer ({self.depth})")
         if any(t not in _THRESHOLD_MODES for t in thresholds):
             raise SpecError(f"threshold modes must be in {_THRESHOLD_MODES}")
         if "random" in thresholds and self.threshold_dist is None:
             raise SpecError("random thresholds need a threshold_dist")
-        object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "thresholds", tuple(thresholds))
 
+        _check_law(self.weight_dist, "weight_dist")
+        _check_law(self.bias_dist, "bias_dist")
+        if self.threshold_dist is not None:
+            _check_law(self.threshold_dist, "threshold_dist")
         if not self.weight_dist.is_integer:
             raise SpecError("weight matrices must be integer-valued")
         for name in ("weight_overrides", "bias_overrides"):
-            layers = [l for l, _ in getattr(self, name)]
+            pairs = getattr(self, name)
+            if not (isinstance(pairs, (tuple, list)) and all(
+                    isinstance(p, (tuple, list)) and len(p) == 2 and _is_int(p[0])
+                    and isinstance(p[1], DistributionSpec) for p in pairs)):
+                raise SpecError(f"{name} must hold [layer, law] pairs, got {pairs!r:.80}")
+            layers = [l for l, _ in pairs]
             if any(l not in range(1, self.depth + 1) for l in layers):
                 raise SpecError(f"{name} layers must lie in 1..{self.depth}, got {layers}")
             if len(set(layers)) != len(layers):
                 raise SpecError(f"{name} repeat a layer: {layers}")
+            object.__setattr__(self, name, tuple(map(tuple, pairs)))
         for _, dist in self.weight_overrides:
             if not dist.is_integer:
                 raise SpecError("weight overrides must be integer-valued")
-        if not -1.0 <= self.copula_rho <= 1.0:
-            raise SpecError(f"copula_rho must lie in [-1, 1], got {self.copula_rho}")
-        for spec in self._coord_specs(self.exponent_dists):
+        rho = self.copula_rho
+        if not (isinstance(rho, numbers.Real) and not isinstance(rho, bool)
+                and -1.0 <= rho <= 1.0):
+            raise SpecError(f"copula_rho must lie in [-1, 1], got {rho!r:.80}")
+        self.coeff_specs()  # raises unless one law or one per input coordinate
+        for spec in self.exponent_specs():
             _validate_exponent_spec(spec, "exponent distribution")
-        if self.exponent_dists_g is not None:
-            for spec in self._coord_specs(self.exponent_dists_g):
-                _validate_exponent_spec(spec, "exponent distribution")
 
         box = self.input_box
         if box is None:
-            box = tuple([(-1.0, 1.0)] * self.d)
-        box = tuple((float(lo), float(hi)) for lo, hi in box)
+            box = ((-1.0, 1.0),) * self.d
+        try:
+            box = tuple((float(lo), float(hi)) for lo, hi in box)
+        except (TypeError, ValueError):
+            raise SpecError(f"input_box must hold [lo, hi] pairs, got {box!r:.80}") from None
         if len(box) != self.d:
             raise SpecError(f"input_box needs {self.d} coordinate ranges")
         for lo, hi in box:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
                 raise SpecError("input_box ranges must be finite with lo <= hi")
         object.__setattr__(self, "input_box", box)
-        object.__setattr__(self, "weight_overrides", tuple(self.weight_overrides))
-        object.__setattr__(self, "bias_overrides", tuple(self.bias_overrides))
 
     # -- derived shape ----------------------------------------------------
 
@@ -330,23 +362,21 @@ class NetworkSpec:
     def p(self) -> int:
         return self.widths[-1]
 
-    def _coord_specs(self, specs) -> tuple[DistributionSpec, ...]:
+    def _coord_specs(self, name: str) -> tuple[DistributionSpec, ...]:
+        specs = getattr(self, name)
         if isinstance(specs, DistributionSpec):
-            return tuple([specs] * self.d)
-        specs = tuple(specs)
-        if len(specs) != self.d:
-            raise SpecError(f"need one spec per input coordinate ({self.d})")
-        return specs
+            return (specs,) * self.d
+        if not (isinstance(specs, (tuple, list)) and len(specs) == self.d):
+            raise SpecError(f"{name} needs one law or one per input coordinate ({self.d})")
+        for spec in specs:
+            _check_law(spec, name)
+        return tuple(specs)
 
-    def coeff_specs(self, side: str = "f") -> tuple[DistributionSpec, ...]:
-        if side == "g" and self.coeff_dists_g is not None:
-            return self._coord_specs(self.coeff_dists_g)
-        return self._coord_specs(self.coeff_dists)
+    def coeff_specs(self) -> tuple[DistributionSpec, ...]:
+        return self._coord_specs("coeff_dists")
 
-    def exponent_specs(self, side: str = "f") -> tuple[DistributionSpec, ...]:
-        if side == "g" and self.exponent_dists_g is not None:
-            return self._coord_specs(self.exponent_dists_g)
-        return self._coord_specs(self.exponent_dists)
+    def exponent_specs(self) -> tuple[DistributionSpec, ...]:
+        return self._coord_specs("exponent_dists")
 
     def weight_dist_for(self, layer: int) -> DistributionSpec:
         return dict(self.weight_overrides).get(layer, self.weight_dist)
@@ -438,15 +468,16 @@ def _draw_init(spec: NetworkSpec, rng, n: int, z_shared):
     d, r = spec.d, spec.r
     rho = spec.copula_rho
     z = z_shared[:, None] if z_shared is not None else None
+    coeffs, exponents = spec.coeff_specs(), spec.exponent_specs()
     for j in range(d):
         if spec.init_mode == "identity":
             zeros = np.zeros((n, 1))
             yield zeros, np.tile(np.eye(d)[j], (n, 1, 1)), zeros, np.zeros((n, 1, d))
         else:
-            c = spec.coeff_specs("f")[j].sample(rng, (n, r), z, rho)
-            c_g = spec.coeff_specs("g")[j].sample(rng, (n, r), z, rho)
-            alpha = spec.exponent_specs("f")[j].sample_exponents(rng, (n, r), d)
-            alpha_g = spec.exponent_specs("g")[j].sample_exponents(rng, (n, r), d)
+            c = coeffs[j].sample(rng, (n, r), z, rho)
+            c_g = coeffs[j].sample(rng, (n, r), z, rho)
+            alpha = exponents[j].sample_exponents(rng, (n, r), d)
+            alpha_g = exponents[j].sample_exponents(rng, (n, r), d)
             yield c, alpha, c_g, alpha_g
 
 
@@ -685,22 +716,17 @@ def _init_intervals(spec: NetworkSpec):
     x_lo, x_hi = box[:, 0], box[:, 1]
     if spec.init_mode == "identity":
         return (x_lo.copy(), x_hi.copy()), (np.zeros(spec.d), np.zeros(spec.d))
-
-    def poly_interval(side):
-        lo = np.empty(spec.d)
-        hi = np.empty(spec.d)
-        for j in range(spec.d):
-            c = spec.coeff_specs(side)[j]
-            t = spec.exponent_specs(side)[j]
-            a_lo, a_hi = t.bound_interval(spec.d)
-            term_lo, term_hi = _interval_product(np.asarray(a_lo, dtype=float),
-                                                 np.asarray(a_hi, dtype=float),
-                                                 x_lo, x_hi)
-            lo[j] = c.lo + term_lo.sum()
-            hi[j] = c.hi + term_hi.sum()
-        return lo, hi
-
-    return poly_interval("f"), poly_interval("g")
+    lo = np.empty(spec.d)
+    hi = np.empty(spec.d)
+    for j, (c, t) in enumerate(zip(spec.coeff_specs(), spec.exponent_specs())):
+        a_lo, a_hi = t.bound_interval(spec.d)
+        term_lo, term_hi = _interval_product(np.asarray(a_lo, dtype=float),
+                                             np.asarray(a_hi, dtype=float),
+                                             x_lo, x_hi)
+        lo[j] = c.lo + term_lo.sum()
+        hi[j] = c.hi + term_hi.sum()
+    # F0 and G0 draw from the same laws.
+    return (lo, hi), (lo.copy(), hi.copy())
 
 
 @dataclass
@@ -788,98 +814,36 @@ def _finite_intervals(l: int, iv: LayerIntervals) -> LayerIntervals:
 # JSON configuration
 # ---------------------------------------------------------------------------
 
-def dist_to_dict(spec: DistributionSpec) -> dict:
-    out = {"kind": spec.kind}
-    if spec.kind == "finite-support":
-        out["values"] = [list(v) if isinstance(v, tuple) else v for v in spec.values]
-        out["probs"] = list(spec.probs)
-    else:
-        out["lo"] = spec.lo
-        out["hi"] = spec.hi
-        if spec.kind == "truncated-gaussian":
-            out["mu"] = spec.mu
-            out["sigma"] = spec.sigma
-    return out
+def _from_json(value, path: str):
+    """A JSON value as a spec field: an object is a law, a list a tuple."""
+    if isinstance(value, list):
+        return tuple(_from_json(v, f"{path}[{i}]") for i, v in enumerate(value))
+    if not isinstance(value, dict):
+        return value
+    law = {key: _from_json(v, f"{path}.{key}") for key, v in value.items()}
+    try:
+        return DistributionSpec(**law)
+    except (TypeError, ValueError) as exc:  # an undeclared or missing key, a bad value
+        raise SpecError(f"{path}: {exc}") from None
 
 
-def dist_from_dict(data: dict) -> DistributionSpec:
-    kind = data["kind"]
-    if kind == "finite-support":
-        values = tuple(tuple(v) if isinstance(v, list) else v for v in data["values"])
-        return DistributionSpec(kind, values=values, probs=tuple(data.get("probs", ())))
-    return DistributionSpec(kind, lo=data["lo"], hi=data["hi"],
-                            mu=data.get("mu", 0.0), sigma=data.get("sigma", 1.0))
-
-
-def _dists_to_json(specs):
-    if isinstance(specs, DistributionSpec):
-        return dist_to_dict(specs)
-    return [dist_to_dict(s) for s in specs]
-
-
-def _dists_from_json(data):
-    if isinstance(data, list):
-        return tuple(dist_from_dict(d) for d in data)
-    return dist_from_dict(data)
+def _to_json(value):
+    """The inverse of ``_from_json``: a spec is an object, a tuple a list."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
 
 
 def network_spec_to_dict(spec: NetworkSpec) -> dict:
-    out = {
-        "widths": list(spec.widths),
-        "r": spec.r,
-        "weight_dist": dist_to_dict(spec.weight_dist),
-        "bias_dist": dist_to_dict(spec.bias_dist),
-        "coeff_dists": _dists_to_json(spec.coeff_dists),
-        "exponent_dists": _dists_to_json(spec.exponent_dists),
-        "init_mode": spec.init_mode,
-        "thresholds": list(spec.thresholds),
-        "input_box": [list(b) for b in spec.input_box],
-        "copula_rho": spec.copula_rho,
-    }
-    if spec.coeff_dists_g is not None:
-        out["coeff_dists_g"] = _dists_to_json(spec.coeff_dists_g)
-    if spec.exponent_dists_g is not None:
-        out["exponent_dists_g"] = _dists_to_json(spec.exponent_dists_g)
-    if spec.threshold_dist is not None:
-        out["threshold_dist"] = dist_to_dict(spec.threshold_dist)
-    if spec.weight_overrides:
-        out["weight_overrides"] = [[l, dist_to_dict(d)] for l, d in spec.weight_overrides]
-    if spec.bias_overrides:
-        out["bias_overrides"] = [[l, dist_to_dict(d)] for l, d in spec.bias_overrides]
-    return out
+    """The JSON object of ``spec``: one key per field, laws as objects."""
+    return _to_json(spec)
 
 
 def network_spec_from_dict(data: dict) -> NetworkSpec:
-    kwargs = {
-        "widths": tuple(data["widths"]),
-        "r": data.get("r", 1),
-        "weight_dist": dist_from_dict(data["weight_dist"]),
-        "bias_dist": dist_from_dict(data["bias_dist"]),
-        "init_mode": data.get("init_mode", "random"),
-        "copula_rho": data.get("copula_rho", 0.0),
-    }
-    if "coeff_dists" in data:
-        kwargs["coeff_dists"] = _dists_from_json(data["coeff_dists"])
-    if "exponent_dists" in data:
-        kwargs["exponent_dists"] = _dists_from_json(data["exponent_dists"])
-    if "coeff_dists_g" in data:
-        kwargs["coeff_dists_g"] = _dists_from_json(data["coeff_dists_g"])
-    if "exponent_dists_g" in data:
-        kwargs["exponent_dists_g"] = _dists_from_json(data["exponent_dists_g"])
-    if "thresholds" in data:
-        th = data["thresholds"]
-        kwargs["thresholds"] = th if isinstance(th, str) else tuple(th)
-    if "threshold_dist" in data:
-        kwargs["threshold_dist"] = dist_from_dict(data["threshold_dist"])
-    if "input_box" in data:
-        kwargs["input_box"] = tuple(tuple(b) for b in data["input_box"])
-    if "weight_overrides" in data:
-        kwargs["weight_overrides"] = tuple(
-            (int(l), dist_from_dict(d)) for l, d in data["weight_overrides"])
-    if "bias_overrides" in data:
-        kwargs["bias_overrides"] = tuple(
-            (int(l), dist_from_dict(d)) for l, d in data["bias_overrides"])
-    return NetworkSpec(**kwargs)
+    """The spec of a JSON object; a key no dataclass declares is an error."""
+    return NetworkSpec(**{key: _from_json(v, key) for key, v in data.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Config validation, subcommand artifacts, exit codes, reproducibility."""
 
 import concurrent.futures
+import dataclasses
 import json
 import math
 import os
@@ -24,7 +25,13 @@ from tropnet.harness import (
     parse_config,
     run_subcommand,
 )
-from tropnet.networks import network_spec_from_dict, run_network, run_symbolic
+from tropnet.networks import (
+    DistributionSpec,
+    NetworkSpec,
+    network_spec_from_dict,
+    run_network,
+    run_symbolic,
+)
 from tropnet.seeding import item_seed
 
 
@@ -173,6 +180,33 @@ INVALID_CONFIGS = {
     "process-without-initial": ("select-layers", {"select_layers": {
         "method": "exact", "process": {"values": [[1.0]]}}},
         "config.select_layers.process.initial"),
+    # Network and law objects are read field by field into their dataclasses:
+    # a wrong type, an undeclared key or a missing required one names its field.
+    "network-r-fraction": ("simulate", with_network(r=2.5), "config.network: r must be"),
+    "network-r-float": ("simulate", with_network(r=3.0), "config.network: r must be"),
+    "network-r-string": ("simulate", with_network(r="3"), "config.network: r must be"),
+    "network-widths-fraction": ("simulate", with_network(widths=[2.5, 4, 4, 4]),
+                                "config.network: widths must be"),
+    "network-widths-string": ("simulate", with_network(widths="24"),
+                              "config.network: widths must be"),
+    "network-misspelled-key": ("simulate", with_network(tresholds="identity"),
+                               "config.network: NetworkSpec.__init__() got an "
+                               "unexpected keyword argument 'tresholds'"),
+    "network-misspelled-law-key": ("simulate", with_network(bias_dist={
+        "kind": "bounded-uniform-real", "lo": -1.0, "hi": 1.0, "hii": 5}),
+        "config.network: bias_dist: DistributionSpec.__init__() got an "
+        "unexpected keyword argument 'hii'"),
+    "network-law-not-an-object": ("simulate", with_network(weight_dist=3),
+                                  "config.network: weight_dist must be a law object"),
+    "network-law-without-kind": ("simulate", with_network(bias_dist={"lo": 0.0, "hi": 1.0}),
+                                 "config.network: bias_dist: DistributionSpec.__init__() "
+                                 "missing 1 required positional argument: 'kind'"),
+    "network-window-without-lo": ("simulate", with_network(bias_dist={
+        "kind": "bounded-uniform-real", "hi": 1.0}),
+        "config.network: bias_dist: bounded-uniform-real needs lo and hi"),
+    "network-override-not-a-pair": ("simulate", with_network(weight_overrides=[[1]]),
+                                    "config.network: weight_overrides must hold "
+                                    "[layer, law] pairs"),
 }
 
 
@@ -203,6 +237,26 @@ def schema_keys(options, prefix=""):
             yield from schema_keys(opt.ok, f"{prefix}{key}.")
 
 
+def test_config_must_be_an_object_before_flags_apply(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("[1]")
+    code = main(["simulate", "--config", str(path), "--seed", "3", "--json-errors",
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_ERROR
+    assert json.loads(capsys.readouterr().out)["error"].startswith(
+        "config: expected an object")
+
+
+def test_select_layers_must_be_an_object_before_flags_apply(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"select_layers": [1]}')
+    code = main(["select-layers", "--config", str(path), "--horizon", "3",
+                 "--json-errors", "--out", str(tmp_path / "o")])
+    assert code == EXIT_ERROR
+    assert json.loads(capsys.readouterr().out)["error"].startswith(
+        "config.select_layers: expected an object")
+
+
 def test_readme_documents_every_option():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     keys = list(schema_keys(harness._CONFIG))
@@ -211,6 +265,14 @@ def test_readme_documents_every_option():
     assert len(keys) > 40
     missing = [key for key in keys if f"`{key}`" not in readme]
     assert not missing, f"options missing from the README's table: {missing}"
+
+
+def test_readme_documents_every_network_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = [f.name for cls in (NetworkSpec, DistributionSpec)
+             for f in dataclasses.fields(cls)]
+    missing = [name for name in names if f"| `{name}` |" not in readme]
+    assert not missing, f"fields missing from the README's network table: {missing}"
 
 
 class TestArtifactWriter:
@@ -332,11 +394,36 @@ class TestSubcommands:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg = parse_config("bounds", {"seed": 2, "workers": 2, "network": network_dict(),
                                       "bounds": {"n": 20_000, "t_grid": [0.0, 5.0]}})
         code, _ = run_subcommand("bounds", cfg, out_dir=tmp_path)
         assert code == EXIT_OK
         assert starts == [2]
+
+    def test_pool_is_capped_at_the_cpu_count(self, tmp_path, monkeypatch):
+        # A stand-in executor records the pool size and starts no process.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        cfg = parse_config("bounds", {"workers": 100_000, "network": network_dict(),
+                                      "bounds": {"n": 2000, "t_grid": [0.0, 5.0]}})
+        code, _ = run_subcommand("bounds", cfg, out_dir=tmp_path)
+        assert code == EXIT_OK
+        assert sizes == [3]
 
     def test_manifest_lists_only_this_run(self, tmp_path):
         sim = parse_config("simulate", {"network": network_dict(), "simulate": {"n": 2}})
@@ -489,6 +576,16 @@ class TestReport:
         (tmp_path / "bound_reports.json").unlink()
         text = emit_report(tmp_path)
         assert "GAP: bound_reports.json missing" in text
+
+    def test_report_renders_only_the_manifest_files(self, tmp_path):
+        bounds = parse_config("bounds", {"network": network_dict(),
+                                         "bounds": {"n": 2000, "t_grid": [0.0]}})
+        run_subcommand("bounds", bounds, out_dir=tmp_path)
+        sim = parse_config("simulate", {"network": network_dict(), "simulate": {"n": 1}})
+        run_subcommand("simulate", sim, out_dir=tmp_path)
+        text = emit_report(tmp_path)
+        assert "## runs.csv" in text and "## runs.json" in text
+        assert "bound_reports" not in text
 
     def test_cli_report(self, tmp_path, capsys):
         cfg = parse_config("simulate", {"network": network_dict(),

@@ -1,5 +1,6 @@
 """Sampling, forward recursions, the symbolic pass, and interval bounds."""
 
+import json
 import os
 import subprocess
 import sys
@@ -505,14 +506,17 @@ class TestIntervals:
             xi_certificate(spec, 3)
 
 
+def through_json(spec: NetworkSpec) -> NetworkSpec:
+    return network_spec_from_dict(json.loads(json.dumps(network_spec_to_dict(spec))))
+
+
 class TestSpecJson:
     def test_round_trip(self):
         spec = reference_spec()
-        again = network_spec_from_dict(network_spec_to_dict(spec))
-        assert again == spec
+        assert through_json(spec) == spec
 
     def test_round_trip_with_options(self):
-        spec = NetworkSpec(widths=(2, 2), r=2,
+        spec = NetworkSpec(widths=(2, 2, 1), r=2,
                            weight_dist=uniform_int(-1, 1),
                            bias_dist=uniform_real(-1, 1),
                            coeff_dists=(degenerate(0.0), degenerate(1.0)),
@@ -520,9 +524,18 @@ class TestSpecJson:
                                DistributionSpec("finite-support", values=((1, 0),)),
                                DistributionSpec("finite-support", values=((0, 1),)),
                            ),
-                           thresholds=("random",),
-                           threshold_dist=uniform_real(-0.5, 0.5),
+                           thresholds=("random", "identity"),
+                           threshold_dist=DistributionSpec("truncated-gaussian", lo=-0.5,
+                                                           hi=0.5, mu=0.1, sigma=2.0),
                            weight_overrides=((1, degenerate(2.0)),),
+                           bias_overrides=((2, DistributionSpec(
+                               "finite-support", values=(0.0, 1.0), probs=(0.25, 0.75))),),
                            copula_rho=0.3)
-        again = network_spec_from_dict(network_spec_to_dict(spec))
-        assert again == spec
+        assert through_json(spec) == spec
+
+    @pytest.mark.parametrize("kind", ["copula", "random-thresholds", "identity-init",
+                                      "overrides", "int64-weights",
+                                      "finite-support-weights", "int8-weights"])
+    def test_every_law_family_round_trips(self, kind):
+        spec = _law_family(kind)
+        assert through_json(spec) == spec
