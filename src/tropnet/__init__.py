@@ -59,7 +59,6 @@ from .bounds import (
     BoundReport,
     ConvexOrderReport,
     MartingaleGradeReport,
-    XiCertificate,
     convex_order_check,
     estimate_tail,
     hoeffding_bound,
@@ -71,7 +70,6 @@ from .bounds import (
     simulate_random_walk,
     verify_layer_concentration,
     walk_tail_reports,
-    xi_certificate,
 )
 from .classifier import (
     AuditRow,

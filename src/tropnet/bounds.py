@@ -8,8 +8,9 @@ estimator and a consistency verdict:
 * bounded-range (Hoeffding): P(|s - E s| >= t) <= 2 exp(-2 t^2 / (b-a)^2);
 * bounded-increment martingale: P(||v_l|| >= M a) < 2 exp(1 - (Ma-1)^2 / (2l)).
 
-xi comes from the interval certificate in :mod:`tropnet.networks`, so the
-analytic side never peeks at the samples it is checked against.  Every
+xi comes from ``propagate_intervals`` in :mod:`tropnet.networks`, interval
+arithmetic on the direct recursion nu' = max(A nu + b, t), so the analytic
+side never peeks at the samples it is checked against.  Every
 verdict in the package follows one rule: a frequency and its standard error
 come from ``binomial_estimate``, and a report is "violated" only when
 ``exceeds`` finds it more than three standard errors above its bound, which
@@ -48,9 +49,15 @@ def binomial_estimate(count: int, n: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def nsg_bound(t: float, xi: float) -> float:
-    """Norm-sub-Gaussian tail bound 2 exp(-t^2 / (2 xi^2))."""
-    if xi <= 0:
-        raise ValueError(f"need xi > 0, got {xi}")
+    """Norm-sub-Gaussian tail bound 2 exp(-t^2 / (2 xi^2)).
+
+    xi = 0 certifies an output pinned at 0, and the bound is its limit:
+    2 at t = 0 and 0 elsewhere.
+    """
+    if xi < 0:
+        raise ValueError(f"need xi >= 0, got {xi}")
+    if xi == 0:
+        return 2.0 if t == 0 else 0.0
     return 2.0 * math.exp(-(t * t) / (2.0 * xi * xi))
 
 
@@ -133,43 +140,6 @@ class BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# xi certificates
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class XiCertificate:
-    """Interval-propagated norm bound for one layer's output."""
-
-    layer: int
-    xi: float
-    empirical_max: float = float("nan")
-
-    def __post_init__(self):
-        if np.isfinite(self.empirical_max) and self.empirical_max > self.xi + 1e-9:
-            raise ValueError(
-                f"certificate violated: empirical max {self.empirical_max} "
-                f"exceeds xi={self.xi} at layer {self.layer}")
-
-
-def xi_certificate(spec: NetworkSpec, layer: int,
-                   nu_samples: np.ndarray | None = None) -> XiCertificate:
-    """Certified bound xi with ||nu^(layer)|| <= xi for every draw.
-
-    The bound propagates the elementwise intervals of the initialization
-    and parameter distributions through the pair recursion.  When samples
-    are supplied, the largest observed norm is recorded alongside (and
-    checked against) the certificate.
-    """
-    if not 1 <= layer <= spec.depth:
-        raise ValueError(f"layer {layer} outside 1..{spec.depth}")
-    xi = propagate_intervals(spec)[layer].xi
-    emp = float("nan")
-    if nu_samples is not None:
-        emp = float(np.max(np.linalg.norm(np.atleast_2d(nu_samples), axis=1)))
-    return XiCertificate(layer=layer, xi=xi, empirical_max=emp)
-
-
-# ---------------------------------------------------------------------------
 # Layer concentration verification
 # ---------------------------------------------------------------------------
 
@@ -182,19 +152,25 @@ def verify_layer_concentration(spec: NetworkSpec, t_grid: Sequence[float],
 
     The layer mean is estimated on an independent pilot set to avoid reuse
     bias; tails on the evaluation set are then compared against
-    2 exp(-t^2 / (2 xi_l^2)) with xi_l from the interval certificate,
-    checked against the evaluation set's largest norm.  ``map`` runs the
-    simulation blocks of both sets (the harness passes a process pool's
-    ``map``; results are identical by the stream discipline).
+    2 exp(-t^2 / (2 xi_l^2)) with xi_l from ``propagate_intervals``.
+    Raises ``ValueError`` when a layer's largest sample norm exceeds its
+    xi_l: such a certificate is unsound.  ``map`` runs the simulation
+    blocks of both sets (the harness passes a process pool's ``map``;
+    results are identical by the stream discipline).
     """
     layers = list(layers) if layers is not None else list(range(1, spec.depth + 1))
     pilot_n = pilot_n or n
     pilot = simulate_layer_outputs(spec, pilot_n, seed, x=x, tag="pilot", map=map)
     sample = simulate_layer_outputs(spec, n, seed, x=x, tag="eval", map=map)
+    intervals = propagate_intervals(spec)
     reports = []
     for l in layers:
         center = pilot[l - 1].mean(axis=0)
-        xi = xi_certificate(spec, l, sample[l - 1]).xi
+        xi = intervals[l].xi
+        observed = float(np.linalg.norm(sample[l - 1], axis=1).max())
+        if observed > xi + 1e-9:
+            raise ValueError(f"certificate violated: empirical max {observed} "
+                             f"exceeds xi={xi} at layer {l}")
         for t in t_grid:
             p_hat, se = estimate_tail(sample[l - 1], center, float(t))
             reports.append(BoundReport(kind="nSG", layer=l, t=float(t),

@@ -15,8 +15,9 @@ networks; a single draw (``sample_network``) is a batch of one from it.
 The pair recursion serves single draws (``run_network``) and the fully
 symbolic (tropical polynomial) forward pass; batched Monte Carlo
 (``simulate_layer_outputs``) carries only nu through the direct
-recursion, on integer weights as drawn.  An interval-arithmetic
-certificate bounds the layer output norms.
+recursion, on integer weights as drawn.  ``propagate_intervals``
+certifies a bound xi_l on every draw's layer output norm ||nu_l|| by
+interval arithmetic on the direct recursion, where F and G cancel.
 
 The fields of ``NetworkSpec`` and ``DistributionSpec`` are the JSON format
 of a network: ``network_spec_to_dict`` and ``network_spec_from_dict`` walk
@@ -38,6 +39,13 @@ from .tropical import TropicalPolynomial, poly_add, poly_weighted_combine
 
 class SpecError(ValueError):
     """Invalid distribution or network specification."""
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float; a string or a bool is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SpecError(f"{name} must be a real number, got {value!r:.80}")
+    return float(value)
 
 
 _KINDS = ("bounded-uniform-integer", "bounded-uniform-real",
@@ -69,18 +77,22 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise SpecError(f"unknown distribution kind {self.kind!r}")
-        mu, sigma = float(self.mu), float(self.sigma)
+        mu, sigma = _real(self.mu, "mu"), _real(self.sigma, "sigma")
         if not (np.isfinite(mu) and np.isfinite(sigma)):
             raise SpecError("mu and sigma must be finite")
+        if self.kind != "truncated-gaussian" and (mu, sigma) != (0.0, 1.0):
+            raise SpecError(f"{self.kind} reads no mu or sigma")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
         if self.kind == "finite-support":
-            if not self.values:
-                raise SpecError("finite-support needs at least one atom")
-            vals = tuple(tuple(float(x) for x in v) if isinstance(v, (tuple, list))
-                         else float(v) for v in self.values)
+            if not (isinstance(self.values, (tuple, list)) and self.values):
+                raise SpecError("finite-support needs a list of at least one atom")
+            if not isinstance(self.probs, (tuple, list)):
+                raise SpecError(f"probs must be a list, got {self.probs!r:.80}")
+            vals = tuple(tuple(_real(x, "atom") for x in v) if isinstance(v, (tuple, list))
+                         else _real(v, "atom") for v in self.values)
             if self.probs:
-                probs = tuple(float(p) for p in self.probs)
+                probs = tuple(_real(p, "probs") for p in self.probs)
             else:
                 probs = tuple([1.0 / len(vals)] * len(vals))
             if len(probs) != len(vals):
@@ -90,14 +102,23 @@ class DistributionSpec:
             flat = [x for v in vals for x in (v if isinstance(v, tuple) else (v,))]
             if not np.isfinite(flat).all():
                 raise SpecError("finite-support atoms must be finite")
+            lo, hi = min(flat), max(flat)
+            # The atoms' own range is accepted so that a spec written out reads back.
+            for name, bound in (("lo", lo), ("hi", hi)):
+                given = getattr(self, name)
+                if given is not None and _real(given, name) != bound:
+                    raise SpecError(f"finite-support takes {name} from its atoms "
+                                    f"({bound}), got {given}")
             object.__setattr__(self, "values", vals)
             object.__setattr__(self, "probs", probs)
-            object.__setattr__(self, "lo", min(flat))
-            object.__setattr__(self, "hi", max(flat))
+            object.__setattr__(self, "lo", lo)
+            object.__setattr__(self, "hi", hi)
         else:
+            if self.values != () or self.probs != ():
+                raise SpecError(f"{self.kind} reads no values or probs")
             if self.lo is None or self.hi is None:
                 raise SpecError(f"{self.kind} needs lo and hi")
-            lo, hi = float(self.lo), float(self.hi)
+            lo, hi = _real(self.lo, "lo"), _real(self.hi, "hi")
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise SpecError("distribution bounds must be finite")
             if lo > hi:
@@ -712,10 +733,11 @@ def _interval_product(alo, ahi, blo, bhi):
 
 
 def _init_intervals(spec: NetworkSpec):
+    """Elementwise interval of nu0 = F0 - G0 over the input box."""
     box = np.asarray(spec.input_box)
     x_lo, x_hi = box[:, 0], box[:, 1]
     if spec.init_mode == "identity":
-        return (x_lo.copy(), x_hi.copy()), (np.zeros(spec.d), np.zeros(spec.d))
+        return x_lo.copy(), x_hi.copy()
     lo = np.empty(spec.d)
     hi = np.empty(spec.d)
     for j, (c, t) in enumerate(zip(spec.coeff_specs(), spec.exponent_specs())):
@@ -725,78 +747,43 @@ def _init_intervals(spec: NetworkSpec):
                                              x_lo, x_hi)
         lo[j] = c.lo + term_lo.sum()
         hi[j] = c.hi + term_hi.sum()
-    # F0 and G0 draw from the same laws.
-    return (lo, hi), (lo.copy(), hi.copy())
+    # F0 and G0 draw from the same laws, so both lie in [lo, hi].
+    return lo - hi, hi - lo
 
 
 @dataclass
 class LayerIntervals:
-    """Elementwise interval state after one layer."""
+    """Elementwise interval of one layer's output nu."""
 
-    f_lo: np.ndarray
-    f_hi: np.ndarray
-    g_lo: np.ndarray
-    g_hi: np.ndarray
-
-    @property
-    def nu_lo(self):
-        return self.f_lo - self.g_hi
-
-    @property
-    def nu_hi(self):
-        return self.f_hi - self.g_lo
-
-    @property
-    def nu_abs(self):
-        return np.maximum(np.abs(self.nu_lo), np.abs(self.nu_hi))
+    nu_lo: np.ndarray
+    nu_hi: np.ndarray
 
     @property
     def xi(self) -> float:
-        return float(np.linalg.norm(self.nu_abs))
+        return float(np.linalg.norm(np.maximum(np.abs(self.nu_lo), np.abs(self.nu_hi))))
 
 
 def propagate_intervals(spec: NetworkSpec) -> list[LayerIntervals]:
-    """Interval state per layer 0..L; layer l's .xi bounds ||nu^(l)||_2.
+    """Interval of nu per layer 0..L; layer l's .xi bounds ||nu^(l)||_2.
 
-    The propagation mirrors the pair recursion with elementwise interval
-    arithmetic, so every realizable trajectory of a bounded spec stays
-    inside the certified intervals.  Raises ``SpecError`` at the first layer
-    whose intervals overflow.
+    Interval arithmetic on the direct recursion nu' = max(A nu + b, t), with
+    each parameter ranging over its law's window, so every realizable
+    trajectory of a bounded spec stays inside the certified intervals.
+    Raises ``SpecError`` at the first layer whose intervals overflow.
     """
-    (f_lo, f_hi), (g_lo, g_hi) = _init_intervals(spec)
-    out = [_finite_intervals(0, LayerIntervals(f_lo, f_hi, g_lo, g_hi))]
+    out = [_finite_intervals(0, LayerIntervals(*_init_intervals(spec)))]
     for l in range(1, spec.depth + 1):
-        n_out = spec.widths[l]
-        w = spec.weight_dist_for(l)
-        ap_lo, ap_hi = max(w.lo, 0.0), max(w.hi, 0.0)
-        am_lo, am_hi = max(-w.hi, 0.0), max(-w.lo, 0.0)
-        cur = out[-1]
-
-        def matvec(alo, ahi, vlo, vhi):
-            lo, hi = _interval_product(np.full_like(vlo, alo), np.full_like(vlo, ahi),
-                                       vlo, vhi)
-            return np.full(n_out, lo.sum()), np.full(n_out, hi.sum())
-
-        gp_lo, gp_hi = matvec(ap_lo, ap_hi, cur.g_lo, cur.g_hi)
-        gm_lo, gm_hi = matvec(am_lo, am_hi, cur.f_lo, cur.f_hi)
-        g_lo, g_hi = gp_lo + gm_lo, gp_hi + gm_hi
-
-        hp_lo, hp_hi = matvec(ap_lo, ap_hi, cur.f_lo, cur.f_hi)
-        hm_lo, hm_hi = matvec(am_lo, am_hi, cur.g_lo, cur.g_hi)
-        q = spec.bias_dist_for(l)
-        h_lo, h_hi = hp_lo + hm_lo + q.lo, hp_hi + hm_hi + q.hi
-
+        w, q, cur = spec.weight_dist_for(l), spec.bias_dist_for(l), out[-1]
+        prod_lo, prod_hi = _interval_product(w.lo, w.hi, cur.nu_lo, cur.nu_hi)
         mode = spec.threshold_mode(l)
-        if mode == "relu":
-            t_lo = t_hi = np.zeros(n_out)
-        elif mode == "identity":
-            t_lo = t_hi = np.full(n_out, -np.inf)
+        if mode == "random":
+            t_lo, t_hi = spec.threshold_dist.lo, spec.threshold_dist.hi
         else:
-            t_lo = np.full(n_out, spec.threshold_dist.lo)
-            t_hi = np.full(n_out, spec.threshold_dist.hi)
-        f_lo = np.maximum(h_lo, g_lo + t_lo)
-        f_hi = np.maximum(h_hi, g_hi + t_hi)
-        out.append(_finite_intervals(l, LayerIntervals(f_lo, f_hi, g_lo, g_hi)))
+            t_lo = t_hi = 0.0 if mode == "relu" else -np.inf
+        n_out = spec.widths[l]
+        out.append(_finite_intervals(l, LayerIntervals(
+            np.full(n_out, max(prod_lo.sum() + q.lo, t_lo)),
+            np.full(n_out, max(prod_hi.sum() + q.hi, t_hi)))))
     return out
 
 

@@ -24,12 +24,10 @@ from tropnet.bounds import (
     simulate_random_walk,
     verify_layer_concentration,
     walk_tail_reports,
-    xi_certificate,
 )
 from tropnet.networks import (
     NetworkSpec,
     degenerate,
-    simulate_layer_outputs,
     uniform_int,
     uniform_real,
 )
@@ -41,8 +39,11 @@ class TestClosedForms:
         assert nsg_bound(0.0, 1.0) == 2.0
         assert nsg_bound(1.0, 1.0) == pytest.approx(2 * math.exp(-0.5), abs=1e-12)
         assert nsg_bound(3.0, 1.5) == pytest.approx(2 * math.exp(-9 / 4.5), abs=1e-12)
+        # xi = 0 certifies a layer pinned at 0: the bound is its limit.
+        assert nsg_bound(0.0, 0.0) == 2.0
+        assert nsg_bound(1.0, 0.0) == 0.0
         with pytest.raises(ValueError):
-            nsg_bound(1.0, 0.0)
+            nsg_bound(1.0, -1.0)
 
     def test_hoeffding_values(self):
         assert hoeffding_bound(1.0, 0.0, 1.0) == pytest.approx(2 * math.exp(-2),
@@ -162,32 +163,6 @@ class TestBoundReport:
         assert r.analytic == 2.0
 
 
-class TestXiCertificate:
-    def test_single_relu_neuron(self):
-        spec = NetworkSpec(widths=(1, 1), weight_dist=degenerate(1.0),
-                           bias_dist=degenerate(0.0), init_mode="identity",
-                           input_box=((-1.0, 1.0),))
-        assert xi_certificate(spec, 1).xi == pytest.approx(1.0)
-
-    def test_certificate_dominates_100k_runs(self):
-        spec = NetworkSpec(widths=(2, 3, 3), r=2,
-                           weight_dist=uniform_int(-2, 2),
-                           bias_dist=uniform_real(-1, 1),
-                           coeff_dists=uniform_real(-1, 1),
-                           exponent_dists=uniform_int(0, 2))
-        outs = simulate_layer_outputs(spec, 100_000, seed=0)
-        for l in (1, 2):
-            cert = xi_certificate(spec, l, nu_samples=outs[l - 1])
-            assert cert.empirical_max <= cert.xi
-
-    def test_violation_detected(self):
-        spec = NetworkSpec(widths=(1, 1), weight_dist=degenerate(1.0),
-                           bias_dist=degenerate(0.0), init_mode="identity",
-                           input_box=((-1.0, 1.0),))
-        with pytest.raises(ValueError):
-            xi_certificate(spec, 1, nu_samples=np.array([[5.0]]))
-
-
 class TestLayerConcentration:
     def test_deterministic_network_tail_zero(self):
         spec = NetworkSpec(widths=(1, 1, 1), weight_dist=degenerate(2.0),
@@ -232,8 +207,7 @@ class TestLayerConcentration:
         propagate = tropnet.bounds.propagate_intervals
 
         def shrunk(s):
-            return [replace(iv, f_lo=iv.f_lo * 1e-3, f_hi=iv.f_hi * 1e-3,
-                            g_lo=iv.g_lo * 1e-3, g_hi=iv.g_hi * 1e-3)
+            return [replace(iv, nu_lo=iv.nu_lo * 1e-3, nu_hi=iv.nu_hi * 1e-3)
                     for iv in propagate(s)]
 
         monkeypatch.setattr(tropnet.bounds, "propagate_intervals", shrunk)

@@ -196,6 +196,41 @@ INVALID_CONFIGS = {
         "kind": "bounded-uniform-real", "lo": -1.0, "hi": 1.0, "hii": 5}),
         "config.network: bias_dist: DistributionSpec.__init__() got an "
         "unexpected keyword argument 'hii'"),
+    # A law's numbers are JSON numbers, and a field its kind does not read
+    # is an error rather than silently dropped.
+    "law-string-and-bool-bounds": ("simulate", with_network(bias_dist={
+        "kind": "bounded-uniform-real", "lo": "-1", "hi": True}),
+        "config.network: bias_dist: lo must be a real number"),
+    "law-bool-bound": ("simulate", with_network(bias_dist={
+        "kind": "bounded-uniform-real", "lo": -1.0, "hi": True}),
+        "config.network: bias_dist: hi must be a real number"),
+    "law-string-sigma": ("simulate", with_network(bias_dist={
+        "kind": "truncated-gaussian", "lo": -1.0, "hi": 1.0, "sigma": "2"}),
+        "config.network: bias_dist: sigma must be a real number"),
+    "law-string-atom": ("simulate", with_network(bias_dist={
+        "kind": "finite-support", "values": [0.0, "1"]}),
+        "config.network: bias_dist: atom must be a real number"),
+    "law-bool-prob": ("simulate", with_network(bias_dist={
+        "kind": "finite-support", "values": [0.0], "probs": [True]}),
+        "config.network: bias_dist: probs must be a real number"),
+    "law-window-with-values": ("simulate", with_network(bias_dist={
+        "kind": "bounded-uniform-real", "lo": -1.0, "hi": 1.0, "values": [5.0]}),
+        "config.network: bias_dist: bounded-uniform-real reads no values or probs"),
+    "law-window-with-probs": ("simulate", with_network(weight_dist={
+        "kind": "bounded-uniform-integer", "lo": -1, "hi": 1, "probs": [1.0]}),
+        "config.network: weight_dist: bounded-uniform-integer reads no values or probs"),
+    "law-window-with-sigma": ("simulate", with_network(bias_dist={
+        "kind": "bounded-uniform-real", "lo": -1.0, "hi": 1.0, "sigma": 3}),
+        "config.network: bias_dist: bounded-uniform-real reads no mu or sigma"),
+    "law-atoms-with-mu": ("simulate", with_network(bias_dist={
+        "kind": "finite-support", "values": [0.0], "mu": 1.0}),
+        "config.network: bias_dist: finite-support reads no mu or sigma"),
+    "law-atoms-with-string-lo": ("simulate", with_network(bias_dist={
+        "kind": "finite-support", "values": [0.0], "lo": "x"}),
+        "config.network: bias_dist: lo must be a real number"),
+    "law-atoms-with-other-hi": ("simulate", with_network(bias_dist={
+        "kind": "finite-support", "values": [0.0, 1.0], "hi": 2.0}),
+        "config.network: bias_dist: finite-support takes hi from its atoms"),
     "network-law-not-an-object": ("simulate", with_network(weight_dist=3),
                                   "config.network: weight_dist must be a law object"),
     "network-law-without-kind": ("simulate", with_network(bias_dist={"lo": 0.0, "hi": 1.0}),
@@ -327,6 +362,24 @@ class TestSubcommands:
         code, files = run_subcommand("bounds", cfg, out_dir=tmp_path)
         assert code == EXIT_OK
         assert "bound_reports.csv" in files
+
+    @pytest.mark.parametrize("network", [
+        # nu_1 = max(0 * x + 0, 0) = 0: xi_1 = 0.
+        {"widths": [1, 1], "init_mode": "identity", "input_box": [[-1, 1]],
+         "weight_dist": {"kind": "finite-support", "values": [0]},
+         "bias_dist": {"kind": "finite-support", "values": [0]}},
+        # Layer 1 is >= 0 and the weights are < 0, so nu_2 = 0: xi_2 = 0.
+        {"widths": [1, 2, 2], "init_mode": "identity",
+         "weight_dist": {"kind": "bounded-uniform-integer", "lo": -2, "hi": -1},
+         "bias_dist": {"kind": "finite-support", "values": [0]}},
+    ], ids=["zero-laws", "cancelling-layer"])
+    def test_bounds_on_a_layer_certified_zero(self, tmp_path, network):
+        cfg = parse_config("bounds", {"seed": 2, "network": network,
+                                      "bounds": {"n": 2000}})
+        code, _ = run_subcommand("bounds", cfg, out_dir=tmp_path)
+        reports = json.loads((tmp_path / "bound_reports.json").read_text())
+        assert code == EXIT_OK
+        assert reports and all(r["verdict"] == "consistent" for r in reports)
 
     def test_classify_audit(self, tmp_path):
         cfg = parse_config("classify", {

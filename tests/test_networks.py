@@ -15,7 +15,6 @@ from scipy.stats import truncnorm
 
 import tropnet
 
-from tropnet.bounds import xi_certificate
 from tropnet.networks import (
     DistributionSpec,
     LayerSample,
@@ -312,6 +311,10 @@ class TestRunNetwork:
         assert data["nu"][0] == pytest.approx(list(np.asarray(run.nu[0])))
 
 
+LAW_KINDS = ["copula", "random-thresholds", "identity-init", "overrides",
+             "int64-weights", "finite-support-weights", "int8-weights"]
+
+
 def _law_family(kind: str) -> NetworkSpec:
     """One spec per sampling feature the batch-of-one identity must cover."""
     if kind == "copula":
@@ -337,9 +340,7 @@ def _law_family(kind: str) -> NetworkSpec:
 
 class TestSingleDrawIsABatchOfOne:
     @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(st.sampled_from(["copula", "random-thresholds", "identity-init", "overrides",
-                            "int64-weights", "finite-support-weights", "int8-weights"]),
-           st.integers(0, 2 ** 63), st.data())
+    @given(st.sampled_from(LAW_KINDS), st.integers(0, 2 ** 63), st.data())
     def test_run_network_is_a_monte_carlo_draw(self, kind, seed, data):
         spec = _law_family(kind)
         x = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=spec.d, max_size=spec.d))
@@ -420,8 +421,9 @@ class TestBatchedSimulation:
         drawn = simulate_layer_outputs(spec, 500, seed=1)
         assert fixed[0].shape == drawn[0].shape == (500, 3)
 
-    def test_interval_certificate_dominates_batch(self):
-        spec = reference_spec()
+    @pytest.mark.parametrize("kind", LAW_KINDS)
+    def test_interval_certificate_dominates_batch(self, kind):
+        spec = _law_family(kind)
         intervals = propagate_intervals(spec)
         outs = simulate_layer_outputs(spec, 20_000, seed=2)
         for l in range(1, spec.depth + 1):
@@ -502,8 +504,16 @@ class TestIntervals:
                            thresholds=("relu", "relu", "identity"))
         with pytest.raises(SpecError, match="layer 1 intervals are not finite"):
             propagate_intervals(spec)
-        with pytest.raises(SpecError, match="layer 1 intervals are not finite"):
-            xi_certificate(spec, 3)
+
+    def test_cancelling_layer_is_certified_zero(self):
+        # Layer 1 is >= 0 and every weight is < 0, so layer 2 is max(<= 0, 0) = 0;
+        # F and G bounded apart cannot see the cancellation.
+        spec = NetworkSpec(widths=(1, 2, 2), init_mode="identity",
+                           weight_dist=uniform_int(-2, -1), bias_dist=degenerate(0.0))
+        intervals = propagate_intervals(spec)
+        assert intervals[1].xi == pytest.approx(2 * np.sqrt(2))
+        assert intervals[2].xi == 0.0
+        assert not simulate_layer_outputs(spec, 1000, seed=0)[1].any()
 
 
 def through_json(spec: NetworkSpec) -> NetworkSpec:
@@ -533,9 +543,7 @@ class TestSpecJson:
                            copula_rho=0.3)
         assert through_json(spec) == spec
 
-    @pytest.mark.parametrize("kind", ["copula", "random-thresholds", "identity-init",
-                                      "overrides", "int64-weights",
-                                      "finite-support-weights", "int8-weights"])
+    @pytest.mark.parametrize("kind", LAW_KINDS)
     def test_every_law_family_round_trips(self, kind):
         spec = _law_family(kind)
         assert through_json(spec) == spec
