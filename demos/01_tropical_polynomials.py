@@ -5,6 +5,8 @@ as tropical polynomials, composes them symbolically, and counts their
 linear regions two independent ways.
 """
 
+import json
+
 import numpy as np
 
 from tropnet import (
@@ -14,7 +16,7 @@ from tropnet import (
     count_linear_regions,
     eval_polynomial,
     poly_weighted_combine,
-    polynomial_to_json,
+    polynomial_to_dict,
     trop_add,
     trop_mul,
     trop_pow,
@@ -35,7 +37,7 @@ print("2^(*3)       =", trop_pow(2, 3))
 relu = TropicalPolynomial([[1], [0]], [0.0, 0.0])
 print("\nrelu(-2) =", eval_polynomial(relu, [-2.0]))
 print("relu(3)  =", eval_polynomial(relu, [3.0]))
-print("relu as JSON:", polynomial_to_json(relu))
+print("relu as JSON:", json.dumps(polynomial_to_dict(relu), sort_keys=True))
 
 # Symbolic combination: 2*p1(x) + p2(x) + 0.5 as one polynomial.
 rng = np.random.default_rng(0)

@@ -26,7 +26,6 @@ from .tropical import (
     poly_weighted_combine,
     polynomial_from_dict,
     polynomial_to_dict,
-    polynomial_to_json,
     prune_redundant_monomials,
     trop_add,
     trop_mul,

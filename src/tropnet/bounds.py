@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .networks import NetworkSpec, propagate_intervals, simulate_layer_outputs
 from .seeding import item_seed, stream
@@ -143,7 +142,8 @@ class BoundReport:
 # Layer concentration verification
 # ---------------------------------------------------------------------------
 
-def verify_layer_concentration(spec: NetworkSpec, t_grid: Sequence[float],
+def verify_layer_concentration(spec: NetworkSpec,
+                               t_grid: Sequence[float] | None = None,
                                n: int = 100_000, seed: int = 0,
                                layers: Sequence[int] | None = None,
                                x=None, pilot_n: int | None = None,
@@ -153,16 +153,21 @@ def verify_layer_concentration(spec: NetworkSpec, t_grid: Sequence[float],
     The layer mean is estimated on an independent pilot set to avoid reuse
     bias; tails on the evaluation set are then compared against
     2 exp(-t^2 / (2 xi_l^2)) with xi_l from ``propagate_intervals``.
-    Raises ``ValueError`` when a layer's largest sample norm exceeds its
-    xi_l: such a certificate is unsound.  ``map`` runs the simulation
-    blocks of both sets (the harness passes a process pool's ``map``;
-    results are identical by the stream discipline).
+    Without a ``t_grid``, each layer is checked at 10 points from 0 to
+    2 xi_l, its own certificate scale.  Raises ``ValueError`` when a
+    layer's largest sample norm exceeds its xi_l: such a certificate is
+    unsound.  ``map`` runs the simulation blocks of both sets (the harness
+    passes a process pool's ``map``; results are identical by the stream
+    discipline).
     """
     layers = list(layers) if layers is not None else list(range(1, spec.depth + 1))
     pilot_n = pilot_n or n
+    # A default grid is read off the certificate, so certify before sampling.
+    intervals = propagate_intervals(spec) if t_grid is None else None
     pilot = simulate_layer_outputs(spec, pilot_n, seed, x=x, tag="pilot", map=map)
     sample = simulate_layer_outputs(spec, n, seed, x=x, tag="eval", map=map)
-    intervals = propagate_intervals(spec)
+    if intervals is None:
+        intervals = propagate_intervals(spec)
     reports = []
     for l in layers:
         center = pilot[l - 1].mean(axis=0)
@@ -171,7 +176,8 @@ def verify_layer_concentration(spec: NetworkSpec, t_grid: Sequence[float],
         if observed > xi + 1e-9:
             raise ValueError(f"certificate violated: empirical max {observed} "
                              f"exceeds xi={xi} at layer {l}")
-        for t in t_grid:
+        grid = np.linspace(0.0, 2.0 * xi, 10) if t_grid is None else t_grid
+        for t in grid:
             p_hat, se = estimate_tail(sample[l - 1], center, float(t))
             reports.append(BoundReport(kind="nSG", layer=l, t=float(t),
                                        analytic=nsg_bound(float(t), xi),
@@ -250,6 +256,8 @@ def convex_order_check(samples1: np.ndarray, samples2: np.ndarray,
     is evidence, not proof: the convex order quantifies over all convex
     functions and cannot be certified from samples.
     """
+    from scipy.special import ndtri  # slow to import; only this check needs it
+
     s1 = np.atleast_2d(np.asarray(samples1, dtype=float))
     s2 = np.atleast_2d(np.asarray(samples2, dtype=float))
     if s1.shape[1] != s2.shape[1]:

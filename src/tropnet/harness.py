@@ -41,7 +41,6 @@ from .classifier import ScoreSpec, disagreement_audit
 from .networks import (
     NetworkSpec,
     network_spec_from_dict,
-    propagate_intervals,
     run_network,
     run_symbolic,
     simulate_layer_outputs,
@@ -320,14 +319,9 @@ def _run_simulate(cfg: ExperimentConfig, out: _OutDir) -> int:
 
 def _run_bounds(cfg: ExperimentConfig, out: _OutDir) -> int:
     opts = cfg.options
-    t_grid = opts["t_grid"]
-    if t_grid is None:
-        # Default grid spans the certificate scale of the deepest layer.
-        xi = propagate_intervals(cfg.network)[-1].xi
-        t_grid = list(np.linspace(0.0, 2.0 * xi, 10))
     with _mapper(cfg.workers) as pool_map:
         reports = verify_layer_concentration(
-            cfg.network, t_grid, n=opts["n"], seed=cfg.seed,
+            cfg.network, opts["t_grid"], n=opts["n"], seed=cfg.seed,
             layers=opts["layers"], pilot_n=opts["pilot_n"], map=pool_map)
     _write_reports(out, reports, "bound_reports.csv", "bound_reports.json")
     return _verdict_code(reports)

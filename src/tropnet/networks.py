@@ -31,7 +31,6 @@ from dataclasses import dataclass, fields, is_dataclass
 from itertools import repeat
 
 import numpy as np
-from scipy.special import ndtr
 
 from .seeding import block_indices, stream
 from .tropical import TropicalPolynomial, poly_add, poly_weighted_combine
@@ -161,6 +160,8 @@ class DistributionSpec:
     @property
     def window_mass(self) -> float:
         """P(lo <= N(mu, sigma^2) <= hi), taken in the nearer tail."""
+        from scipy.special import ndtr  # slow to import; Gaussian laws only
+
         a = (self.lo - self.mu) / self.sigma
         b = (self.hi - self.mu) / self.sigma
         return float(ndtr(-a) - ndtr(-b) if a > 0 else ndtr(b) - ndtr(a))
@@ -189,6 +190,8 @@ class DistributionSpec:
         if self.has_vector_atoms:
             raise SpecError("vector-atom spec sampled where scalars are expected")
         if z_shared is not None and rho != 0.0:
+            from scipy.special import ndtr  # slow to import; copula only
+
             z = rho * np.asarray(z_shared) + np.sqrt(1.0 - rho ** 2) \
                 * rng.standard_normal(size)
             return self._from_uniform(np.clip(ndtr(z), 1e-12, 1 - 1e-12), rng)

@@ -26,14 +26,11 @@ oracles for that count.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
 
 
 class TropicalError(ValueError):
@@ -366,6 +363,15 @@ def _finite_parts(f: TropicalPolynomial):
     return f._alpha.astype(float), f._coeff
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use: only region
+    counting needs it, and it is slow to import.  ``_dominance_slack``
+    looks this name up at call time, so a tracer can wrap it."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
 def _dominance_slack(alpha: np.ndarray, coeff: np.ndarray, i: int) -> float:
     """Max slack delta with  affine_i(x) >= affine_j(x) + delta  for all j != i.
 
@@ -402,6 +408,8 @@ def _hull_vertices(points: np.ndarray, upper: bool = False) -> list[int]:
     full dimension, so a point is kept only if the unit normals of the
     facets around it span the space with singular values above HULL_TOL.
     """
+    from scipy.spatial import ConvexHull  # slow to import; only regions need it
+
     hull = ConvexHull(points)
     normals = hull.equations[:, :-1]
     faces = hull.simplices[normals[:, -1] > HULL_TOL] if upper else hull.simplices
@@ -430,6 +438,8 @@ def _hull_maximal(alpha: np.ndarray, coeff: np.ndarray) -> list[int]:
     the others lies between roundoff and DELTA_TOL, or its normal cone is
     thinner than HULL_TOL.
     """
+    from scipy.spatial import QhullError  # slow to import; only regions need it
+
     if len(coeff) == 1:
         return [0]
     a = alpha - alpha.mean(axis=0)
@@ -529,7 +539,3 @@ def polynomial_from_dict(data: dict) -> TropicalPolynomial:
             raise TropicalError('write a bottom coefficient as "bottom"')
         coeff.append(c)
     return TropicalPolynomial([entry["alpha"] for entry in monos], coeff)
-
-
-def polynomial_to_json(f: TropicalPolynomial) -> str:
-    return json.dumps(polynomial_to_dict(f), sort_keys=True)

@@ -196,6 +196,18 @@ class TestLayerConcentration:
                                              n=5000, seed=2)
         assert all(r.verdict == "consistent" for r in reports)
 
+    def test_default_grid_is_per_layer(self):
+        # Layer 1 is >= 0 and the weights are < 0, so nu_2 = 0 (xi_2 = 0)
+        # while xi_1 = 2 sqrt(2).  A grid built from the last layer's xi
+        # alone would test layer 1 only at t = 0.
+        spec = NetworkSpec(widths=(1, 2, 2), init_mode="identity",
+                           weight_dist=uniform_int(-2, -1), bias_dist=degenerate(0.0))
+        reports = verify_layer_concentration(spec, n=2000, seed=2)
+        by_layer = {l: [r.t for r in reports if r.layer == l] for l in (1, 2)}
+        assert by_layer[1] == pytest.approx(np.linspace(0.0, 4.0 * math.sqrt(2), 10))
+        assert by_layer[2] == [0.0] * 10
+        assert all(r.verdict == "consistent" for r in reports)
+
     def test_xi_is_checked_against_the_sample(self, monkeypatch):
         # A certificate shrunk below what the draws reach must be refused,
         # not used as the bound's xi.

@@ -259,10 +259,66 @@ def test_invalid_config_is_one_json_error(case, tmp_path, capsys):
     assert fragment in json.loads(out)["error"]
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    code = "import sys, tropnet.cli; assert 'scipy.stats' not in sys.modules"
+def fresh_scipy_modules(code: str) -> set[str]:
+    """The scipy modules loaded by ``code`` run in a fresh interpreter."""
+    code += ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
+             " if m.split('.')[0] == 'scipy')))")
     env = dict(os.environ, PYTHONPATH=str(Path(tropnet.__file__).parents[1]))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          timeout=120, capture_output=True, text=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def fresh_run(tmp_path, subcommand: str, config: dict) -> tuple[Path, set[str]]:
+    """Run ``tropnet <subcommand>`` in a fresh interpreter; return its
+    output directory and the scipy modules it loaded."""
+    path, out = tmp_path / "fresh.json", tmp_path / "fresh"
+    path.write_text(json.dumps(config))
+    argv = [subcommand, "--config", str(path), "--out", str(out)]
+    loaded = fresh_scipy_modules(
+        f"from tropnet.cli import main\nassert main({argv!r}) == 0")
+    return out, loaded
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # Start-up pays for no scipy at all: each subcommand imports the scipy
+    # it runs, inside the function that uses it.
+    assert fresh_scipy_modules("import tropnet.cli") == set()
+
+
+NUMERIC_RUNS = {
+    "bounds": {"seed": 2, "network": network_dict(),
+               "bounds": {"n": 2000, "t_grid": [0.0, 5.0]}},
+    "classify": {"seed": 3, "network": network_dict(widths=(2, 3, 1), last_identity=True),
+                 "classify": {"n": 2000, "inputs": [[0.2, -0.4]]}},
+    "select-layers": {"seed": 1, "network": network_dict(widths=(2, 1, 1)),
+                      "select_layers": {"method": "lsmc", "horizon": 2,
+                                        "y_star": [0.0], "n_trajectories": 200}},
+    "simulate": {"seed": 1, "network": network_dict(), "simulate": {"n": 2}},
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(NUMERIC_RUNS))
+def test_numeric_subcommands_leave_region_scipy_out(tmp_path, subcommand):
+    _, loaded = fresh_run(tmp_path, subcommand, NUMERIC_RUNS[subcommand])
+    assert not loaded & {"scipy.optimize", "scipy.spatial"}, sorted(loaded)
+
+
+@pytest.mark.parametrize("mode", ["sampled", "polynomial"])
+def test_fresh_regions_run_matches_in_process(tmp_path, mode):
+    # The region code imports scipy on first use; a fresh interpreter must
+    # get there and write the same artifacts as this (warm) process.
+    regions = ({"sample": {"count": 3, "t_grid": [0.5, 1.0]}} if mode == "sampled" else
+               {"polynomial": {"d": 2, "monomials": [{"c": 0.0, "alpha": [1, 0]},
+                                                     {"c": 0.0, "alpha": [0, 1]},
+                                                     {"c": 0.0, "alpha": [0, 0]}]}})
+    config = {"seed": 4, "network": network_dict(widths=(2, 2, 1), last_identity=True),
+              "regions": regions}
+    fresh, loaded = fresh_run(tmp_path, "regions", config)
+    _, files = run_subcommand("regions", parse_config("regions", config),
+                              out_dir=tmp_path / "warm")
+    assert json.loads((fresh / "manifest.json").read_text())["files"] == files
+    assert ("scipy.spatial" if mode == "sampled" else "scipy.optimize") in loaded
 
 
 def schema_keys(options, prefix=""):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tropnet.tropical
 from tropnet.tropical import (
     BOTTOM,
     ZERO,
@@ -23,7 +24,7 @@ from tropnet.tropical import (
     poly_mul,
     poly_weighted_combine,
     polynomial_from_dict,
-    polynomial_to_json,
+    polynomial_to_dict,
     prune_redundant_monomials,
     trop_add,
     trop_mul,
@@ -363,6 +364,21 @@ class TestRegions:
         assert count_linear_regions(f, method="grid-oracle").count == 3
         assert count_linear_regions(f, method="exact-lp").count == 3
 
+    def test_exact_lp_calls_the_module_linprog(self, monkeypatch):
+        # Tracing wraps ``tropnet.tropical.linprog`` by name; every dominance
+        # LP must go through that attribute.
+        calls = []
+        original = tropnet.tropical.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tropnet.tropical, "linprog", counting)
+        f = poly((0.0, (1, 0)), (0.0, (0, 1)), (0.0, (0, 0)))
+        assert count_linear_regions(f, method="exact-lp").count == 3
+        assert len(calls) == 3
+
     def test_lp_matches_grid_on_random_instances(self):
         rng = np.random.default_rng(10)
         for trial in range(100):
@@ -492,6 +508,10 @@ class TestUpperHull:
             assert count_linear_regions(f, method="grid-oracle").count == len(winners)
 
 
+def to_json(f):
+    return json.dumps(polynomial_to_dict(f), sort_keys=True)
+
+
 def from_json(text):
     return polynomial_from_dict(json.loads(text))
 
@@ -500,18 +520,18 @@ class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(13)
         f = random_poly(rng, 2, 4)
-        again = from_json(polynomial_to_json(f))
+        again = from_json(to_json(f))
         assert again == f
 
     def test_bottom_coefficient_round_trip(self):
         f = poly((None, (0, 0)))
-        again = from_json(polynomial_to_json(f))
+        again = from_json(to_json(f))
         assert again.is_bottom
         assert again == f and hash(again) == hash(f)
-        assert '"c": "bottom"' in polynomial_to_json(f)
+        assert '"c": "bottom"' in to_json(f)
         # A bottom row next to finite ones is dropped on construction.
         g = poly((None, (2, 1)), (1.5, (0, 1)))
-        assert from_json(polynomial_to_json(g)) == g == poly((1.5, (0, 1)))
+        assert from_json(to_json(g)) == g == poly((1.5, (0, 1)))
 
     def test_reading_drops_bottom_rows_and_merges_repeats(self):
         text = ('{"d": 1, "monomials": [{"c": "bottom", "alpha": [3]}, '
@@ -537,7 +557,7 @@ class TestSerialization:
 
     def test_schema_shape(self):
         f = poly((1.5, (2, 0)))
-        data = json.loads(polynomial_to_json(f))
+        data = json.loads(to_json(f))
         assert data == {"d": 2, "monomials": [{"c": 1.5, "alpha": [2, 0]}]}
 
     def test_dimension_mismatch_rejected(self):
