@@ -1,8 +1,8 @@
 """Max-plus arithmetic, tropical polynomials, and linear regions.
 
-Walks through the semiring operations, builds piecewise-linear functions
-as tropical polynomials, composes them symbolically, and counts their
-linear regions two independent ways.
+Walks through the semiring operations on constant polynomials, builds
+piecewise-linear functions as tropical polynomials, composes them
+symbolically, and counts their linear regions three ways.
 """
 
 import json
@@ -12,31 +12,37 @@ import numpy as np
 from tropnet import (
     BOTTOM,
     TropicalPolynomial,
-    TropicalRational,
+    constant_polynomial,
     count_linear_regions,
-    eval_polynomial,
+    poly_add,
+    poly_mul,
     poly_weighted_combine,
     polynomial_to_dict,
-    trop_add,
-    trop_mul,
-    trop_pow,
 )
 
 # --- scalar semiring -------------------------------------------------------
-# Scalars are floats: addition is max, multiplication is +, and BOTTOM
-# (-inf) is the additive identity.
-print("3 (+) 5      =", trop_add(3, 5))
-print("3 (*) 5      =", trop_mul(3, 5))
-print("bottom (+) 4 =", trop_add(BOTTOM, 4))
-print("bottom (*) 4 =", trop_mul(BOTTOM, 4))
-print("2^(*3)       =", trop_pow(2, 3))
+# A scalar is a constant polynomial: addition is max, multiplication is +,
+# and BOTTOM (-inf) is the additive identity.
+def const(c):
+    return constant_polynomial(1, c)
+
+
+def show(label, p):
+    print(label, "bottom" if p.is_bottom else p([0.0]))
+
+
+show("3 (+) 5      =", poly_add(const(3), const(5)))
+show("3 (*) 5      =", poly_mul(const(3), const(5)))
+show("bottom (+) 4 =", poly_add(const(BOTTOM), const(4)))
+show("bottom (*) 4 =", poly_mul(const(BOTTOM), const(4)))
+show("2^(*3)       =", const(2).scale(3))
 
 # --- polynomials -----------------------------------------------------------
 # A polynomial is one exponent row and one coefficient per monomial
 # c + alpha . x.  A ReLU is the smallest interesting one: max(x, 0).
 relu = TropicalPolynomial([[1], [0]], [0.0, 0.0])
-print("\nrelu(-2) =", eval_polynomial(relu, [-2.0]))
-print("relu(3)  =", eval_polynomial(relu, [3.0]))
+print("\nrelu(-2) =", relu([-2.0]))
+print("relu(3)  =", relu([3.0]))
 print("relu as JSON:", json.dumps(polynomial_to_dict(relu), sort_keys=True))
 
 # Symbolic combination: 2*p1(x) + p2(x) + 0.5 as one polynomial.
@@ -45,9 +51,9 @@ p1 = TropicalPolynomial([[1, 0], [0, 1], [0, 0]], rng.uniform(-1, 1, size=3))
 p2 = TropicalPolynomial([[2, 0], [1, 1]], rng.uniform(-1, 1, size=2))
 combined = poly_weighted_combine([p1, p2], [2, 1], bias=0.5)
 x = np.array([0.3, -0.7])
-direct = 2 * eval_polynomial(p1, x) + eval_polynomial(p2, x) + 0.5
+direct = 2 * p1(x) + p2(x) + 0.5
 print("\ncombined poly has", combined.num_monomials, "monomials")
-print("symbolic eval:", eval_polynomial(combined, x), " direct:", direct)
+print("symbolic eval:", combined(x), " direct:", direct)
 
 # --- linear regions --------------------------------------------------------
 # Count cells where a single monomial dominates: upper-hull vertices of
@@ -61,7 +67,7 @@ print("  exact-lp    ->",
 print("  grid-oracle ->",
       count_linear_regions(three_planes, method="grid-oracle").count, "regions")
 
-# Tropical rational functions are differences of polynomials; they are
-# exactly the piecewise-linear functions with integer slopes.
-ratio = TropicalRational(three_planes, TropicalPolynomial([[1, 0], [0, 0]], [0.0, 0.0]))
-print("\n(f - g)(0.5, 2.0) =", ratio([0.5, 2.0]))
+# A network's output is a difference f - g of two polynomials; such
+# differences are exactly the piecewise-linear functions with integer slopes.
+g = TropicalPolynomial([[1, 0], [0, 0]], [0.0, 0.0])
+print("\n(f - g)(0.5, 2.0) =", three_planes([0.5, 2.0]) - g([0.5, 2.0]))

@@ -27,7 +27,7 @@ print("input                E[s]      SE     label   margin   error bound")
 for _ in range(6):
     x = rng.uniform(-1, 1, 2)
     est, se = expected_score(net, sigmoid, x, n=20_000, seed=11)
-    decision = expected_classify(est, sigmoid, se=se, x=x)
+    decision = expected_classify(est, sigmoid, se=se)
     print(f"({x[0]:+.2f}, {x[1]:+.2f})   {est:.4f}  {se:.4f}   "
           f"{decision.label:>7}  {decision.t:.4f}   {decision.error_bound:.4f}")
 

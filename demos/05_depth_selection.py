@@ -14,7 +14,6 @@ from tropnet import (
     NetworkSpec,
     backward_induction_exact,
     backward_induction_lsmc,
-    check_local_monotonicity,
     exhaustive_stopping_oracle,
     select_layers,
     stream,
@@ -27,7 +26,7 @@ from tropnet import (
 # depth 7 and falls afterwards; the selector finds exactly that depth.
 L = np.arange(1, 1001)
 gamma = np.log(L) / np.sqrt(L)
-print("shape:", check_local_monotonicity(gamma))
+print("gamma peaks at depth", int(np.argmax(gamma)) + 1)
 sol = select_layers("deterministic", gamma=gamma)
 print(f"selected depth tau = {sol.tau}, value = {sol.value:.4f}\n")
 

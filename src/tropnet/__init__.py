@@ -16,20 +16,14 @@ from .tropical import (
     RegionCountError,
     TropicalError,
     TropicalPolynomial,
-    TropicalRational,
-    UndefinedPowerError,
     constant_polynomial,
     count_linear_regions,
-    eval_polynomial,
     poly_add,
     poly_mul,
     poly_weighted_combine,
     polynomial_from_dict,
     polynomial_to_dict,
     prune_redundant_monomials,
-    trop_add,
-    trop_mul,
-    trop_pow,
 )
 from .networks import (
     DistributionSpec,
@@ -84,12 +78,10 @@ from .stopping import (
     FiniteSupportProcess,
     GammaSpec,
     OracleSolution,
-    ShapeReport,
     StateExplosionError,
     StoppingSolution,
     backward_induction_exact,
     backward_induction_lsmc,
-    check_local_monotonicity,
     exhaustive_stopping_oracle,
     gamma_value,
     loss_mse,

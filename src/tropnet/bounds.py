@@ -146,7 +146,7 @@ def verify_layer_concentration(spec: NetworkSpec,
                                t_grid: Sequence[float] | None = None,
                                n: int = 100_000, seed: int = 0,
                                layers: Sequence[int] | None = None,
-                               x=None, pilot_n: int | None = None,
+                               pilot_n: int | None = None,
                                map=map) -> list[BoundReport]:
     """Monte Carlo check of the norm-sub-Gaussian layer bound.
 
@@ -164,8 +164,8 @@ def verify_layer_concentration(spec: NetworkSpec,
     pilot_n = pilot_n or n
     # A default grid is read off the certificate, so certify before sampling.
     intervals = propagate_intervals(spec) if t_grid is None else None
-    pilot = simulate_layer_outputs(spec, pilot_n, seed, x=x, tag="pilot", map=map)
-    sample = simulate_layer_outputs(spec, n, seed, x=x, tag="eval", map=map)
+    pilot = simulate_layer_outputs(spec, pilot_n, seed, tag="pilot", map=map)
+    sample = simulate_layer_outputs(spec, n, seed, tag="eval", map=map)
     if intervals is None:
         intervals = propagate_intervals(spec)
     reports = []
@@ -290,11 +290,9 @@ class MartingaleGradeReport:
     worst_pair: tuple[int, int]
     worst_function: str
     increment_bound: float
-    pair_reports: tuple
 
 
-def martingale_grade_check(trajectories: np.ndarray, k: int = 16,
-                           alpha: float = 0.01, seed: int = 0) -> MartingaleGradeReport:
+def martingale_grade_check(trajectories: np.ndarray, seed: int = 0) -> MartingaleGradeReport:
     """Grade a constant-width vector sequence as a (very-)weak martingale.
 
     ``trajectories`` has shape (n_runs, steps+1, p) with the step-0 state
@@ -311,15 +309,13 @@ def martingale_grade_check(trajectories: np.ndarray, k: int = 16,
     increments = np.linalg.norm(np.diff(traj, axis=1), axis=2)
     m_bound = float(increments.max())
 
-    pair_reports = []
     worst = ("", -math.inf, (0, 0))
     weak_falsified = False
     vw_falsified = False
     pairs = [(j, l) for l in range(1, steps + 1) for j in range(l)]
     for i, (j, l) in enumerate(pairs):
-        rep = convex_order_check(traj[:, j], traj[:, l], k=k, alpha=alpha,
+        rep = convex_order_check(traj[:, j], traj[:, l],
                                  seed=item_seed(seed, "mgale-pair", i))
-        pair_reports.append(((j, l), rep))
         if rep.worst_z > worst[1]:
             worst = (rep.worst_function, rep.worst_z, (j, l))
         if rep.falsified:
@@ -332,7 +328,6 @@ def martingale_grade_check(trajectories: np.ndarray, k: int = 16,
         worst_pair=worst[2],
         worst_function=worst[0],
         increment_bound=m_bound,
-        pair_reports=tuple(pair_reports),
     )
 
 

@@ -92,7 +92,6 @@ class ExpectedDecision:
     label: str
     t: float
     error_bound: float
-    x: tuple | None = None
 
 
 def expected_score(spec: NetworkSpec, score_spec: ScoreSpec, x,
@@ -109,7 +108,7 @@ def expected_score(spec: NetworkSpec, score_spec: ScoreSpec, x,
 
 
 def expected_classify(estimate: float, score_spec: ScoreSpec,
-                      se: float = 0.0, x=None) -> ExpectedDecision:
+                      se: float = 0.0) -> ExpectedDecision:
     """Label an input from its estimated expected score.
 
     An estimate exactly on the boundary has no class (the expected
@@ -117,7 +116,6 @@ def expected_classify(estimate: float, score_spec: ScoreSpec,
     boundary abstain, since their side of c is not statistically resolved.
     """
     a, b, c = score_spec.a, score_spec.b, score_spec.c
-    xt = None if x is None else tuple(float(v) for v in np.atleast_1d(x))
     if not a <= estimate <= b:
         raise ScoreSpecError(f"estimate {estimate} outside score range [{a}, {b}]")
     if estimate == c:
@@ -127,11 +125,11 @@ def expected_classify(estimate: float, score_spec: ScoreSpec,
     t = abs(estimate - c)
     if not exceeds(t, se, 0.0):
         return ExpectedDecision(estimate=estimate, se=se, label="abstain",
-                                t=t, error_bound=1.0, x=xt)
+                                t=t, error_bound=1.0)
     p = min(math.exp(-2.0 * t * t / ((b - a) ** 2)), 1.0)
     label = "C1" if estimate > c else "C2"
     return ExpectedDecision(estimate=estimate, se=se, label=label, t=t,
-                            error_bound=p, x=xt)
+                            error_bound=p)
 
 
 @dataclass(frozen=True)

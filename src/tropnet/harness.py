@@ -434,9 +434,7 @@ def _run_mgale_check(cfg: ExperimentConfig, out: _OutDir) -> int:
 
 
 def _write_grade(grade, out: _OutDir):
-    report = dataclasses.asdict(grade)
-    del report["pair_reports"]  # the convex-order detail of every pair
-    out.write_json("grade_report.json", report)
+    out.write_json("grade_report.json", dataclasses.asdict(grade))
 
 
 class _Command(NamedTuple):

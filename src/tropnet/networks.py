@@ -587,19 +587,31 @@ def _as_input(spec: NetworkSpec, x) -> np.ndarray | None:
     return x
 
 
+def _check_finite(layer: int, *outputs: np.ndarray):
+    """Raise ``SpecError`` unless every array of layer ``layer`` is finite."""
+    if not all(np.isfinite(out).all() for out in outputs):
+        raise SpecError(f"layer {layer} outputs are not finite: the spec's "
+                        f"parameters overflow double precision")
+
+
 def run_network(spec: NetworkSpec, x, seed: int) -> NetworkRun:
-    """Sample a network and push input ``x`` through the pair recursion."""
+    """Sample a network and push input ``x`` through the pair recursion; a
+    layer that overflows to inf or NaN is a ``SpecError``."""
     x = _as_input(spec, x)
     net = sample_network(spec, seed)
     f = np.array([p(x) for p in net.f0])
     g = np.array([p(x) for p in net.g0])
     fs, gs, hs, nus = [f], [g], [], [f - g]
-    for layer in net.layers:
+    _check_finite(0, nus[0])
+    for l, layer in enumerate(net.layers, start=1):
         f, g, h = forward_fg(f, g, layer)
         fs.append(f)
         gs.append(g)
         hs.append(h)
         nus.append(f - g)
+        # F or G past double range makes nu inf or NaN; only an H at -inf
+        # hides under F = max(H, G + t).
+        _check_finite(l, h, nus[-1])
     return NetworkRun(x=x, seed=seed, f=tuple(fs), g=tuple(gs),
                       h=tuple(hs), nu=tuple(nus))
 
@@ -626,9 +638,22 @@ def run_symbolic(spec: NetworkSpec, seed: int, cap: int = 10_000) -> SymbolicRun
     Uses the same parameter draw as ``run_network(spec, x, seed)``, so the
     numeric evaluation of the result matches the numeric forward pass at
     any x.  Raises MonomialCapError when the composition outgrows ``cap``
-    even after pruning.
+    even after pruning, and ``SpecError`` when a finite coefficient
+    overflows (bottom's -inf arithmetic raises no floating-point flag).
     """
     net = sample_network(spec, seed)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            f_layers, g_layers = _symbolic_layers(net, cap)
+    except FloatingPointError as exc:
+        raise SpecError(f"symbolic coefficients are not finite ({exc}): the "
+                        f"spec's parameters overflow double precision") from None
+    return SymbolicRun(spec=spec, seed=seed, f_polys=tuple(f_layers),
+                       g_polys=tuple(g_layers), layers=net.layers)
+
+
+def _symbolic_layers(net: NetworkSample, cap: int):
+    """F and G polynomial vectors of layers 0..L of the draw ``net``."""
     f_layers = [net.f0]
     g_layers = [net.g0]
     for layer in net.layers:
@@ -648,8 +673,7 @@ def run_symbolic(spec: NetworkSpec, seed: int, cap: int = 10_000) -> SymbolicRun
             g_new.append(g_i)
         f_layers.append(tuple(f_new))
         g_layers.append(tuple(g_new))
-    return SymbolicRun(spec=spec, seed=seed, f_polys=tuple(f_layers),
-                       g_polys=tuple(g_layers), layers=net.layers)
+    return f_layers, g_layers
 
 
 # ---------------------------------------------------------------------------
@@ -714,9 +738,7 @@ def simulate_layer_outputs(spec: NetworkSpec, n: int, seed: int,
         for l, arr in enumerate(block):
             outs[l][start:start + size] = arr
     for l, out in enumerate(outs, start=1):
-        if not np.isfinite(out).all():
-            raise SpecError(f"layer {l} outputs are not finite: the spec's "
-                            f"parameters overflow double precision")
+        _check_finite(l, out)
     return outs
 
 
@@ -736,22 +758,21 @@ def _interval_product(alo, ahi, blo, bhi):
 
 
 def _init_intervals(spec: NetworkSpec):
-    """Elementwise interval of nu0 = F0 - G0 over the input box."""
+    """Elementwise interval of nu0 = F0 - G0 over the input box.
+
+    F0_j and G0_j draw from the same laws at the same x, so |nu0_j| is at most
+    (c_hi - c_lo) + sum_i (alpha_hi_i - alpha_lo_i) max(|x_lo_i|, |x_hi_i|).
+    """
     box = np.asarray(spec.input_box)
     x_lo, x_hi = box[:, 0], box[:, 1]
     if spec.init_mode == "identity":
         return x_lo.copy(), x_hi.copy()
-    lo = np.empty(spec.d)
-    hi = np.empty(spec.d)
+    x_abs = np.maximum(np.abs(x_lo), np.abs(x_hi))
+    half = np.empty(spec.d)
     for j, (c, t) in enumerate(zip(spec.coeff_specs(), spec.exponent_specs())):
         a_lo, a_hi = t.bound_interval(spec.d)
-        term_lo, term_hi = _interval_product(np.asarray(a_lo, dtype=float),
-                                             np.asarray(a_hi, dtype=float),
-                                             x_lo, x_hi)
-        lo[j] = c.lo + term_lo.sum()
-        hi[j] = c.hi + term_hi.sum()
-    # F0 and G0 draw from the same laws, so both lie in [lo, hi].
-    return lo - hi, hi - lo
+        half[j] = c.hi - c.lo + (np.asarray(a_hi, dtype=float) - a_lo) @ x_abs
+    return -half, half
 
 
 @dataclass

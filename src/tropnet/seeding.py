@@ -40,12 +40,7 @@ def item_seed(master_seed: int, tag: str, index: int) -> int:
     return int.from_bytes(ss.generate_state(4).tobytes(), "little")
 
 
-def block_indices(n: int, block_size: int = BLOCK_SIZE):
-    """Yield (block_index, start, size) covering ``n`` items."""
-    b = 0
-    start = 0
-    while start < n:
-        size = min(block_size, n - start)
-        yield b, start, size
-        b += 1
-        start += size
+def block_indices(n: int):
+    """Yield (block_index, start, size) covering ``n`` items in BLOCK_SIZE blocks."""
+    for b, start in enumerate(range(0, n, BLOCK_SIZE)):
+        yield b, start, min(BLOCK_SIZE, n - start)

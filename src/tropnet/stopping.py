@@ -93,33 +93,6 @@ def gamma_value(spec: GammaSpec, layer, loss):
     return spec.g(loss) * spec.h(layer)
 
 
-@dataclass(frozen=True)
-class ShapeReport:
-    """Monotonicity classification of a realized utility sequence."""
-
-    shape: str                 # "monotone-increasing" | "monotone-decreasing" |
-                               # "constant" | "unimodal" | "irregular"
-    peak: int | None = None    # 1-based change point for unimodal sequences
-
-
-def check_local_monotonicity(values: Sequence[float]) -> ShapeReport:
-    """Classify a sequence as monotone, unimodal (rise then fall), or irregular."""
-    v = np.asarray(values, dtype=float)
-    if v.size < 2:
-        raise StoppingError("need at least two values to classify")
-    d = np.diff(v)
-    if np.all(d == 0):
-        return ShapeReport(shape="constant")
-    if np.all(d >= 0):
-        return ShapeReport(shape="monotone-increasing")
-    if np.all(d <= 0):
-        return ShapeReport(shape="monotone-decreasing")
-    k = int(np.argmax(v))
-    if np.all(d[:k] >= 0) and np.all(d[k:] <= 0):
-        return ShapeReport(shape="unimodal", peak=k + 1)
-    return ShapeReport(shape="irregular")
-
-
 # ---------------------------------------------------------------------------
 # Finite-support processes
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 The semiring is (R ∪ {bottom}, ⊕, ⊙) with a ⊕ b = max(a, b) and
 a ⊙ b = a + b.  Scalars are plain floats: ``BOTTOM`` is -inf, the
-additive identity, and ``ZERO`` is 0.0, the multiplicative one.  NaN and
-+inf are not tropical scalars and are rejected, and the one undefined
-operation, bottom to a negative tropical power, raises
-``UndefinedPowerError`` instead of propagating a NaN.
+additive identity, and ``ZERO`` is 0.0, the multiplicative one.  A scalar
+enters the algebra as a constant polynomial (``constant_polynomial``) or a
+shift of one (``TropicalPolynomial.shift``); both reject NaN and +inf,
+which are not tropical scalars.
 
 A tropical polynomial is a finite max of affine monomials
 c + alpha · x with nonnegative integer slope vectors alpha; distinct
@@ -13,9 +13,8 @@ monomials always carry distinct slope vectors.  It is stored as two
 arrays, an int64 exponent matrix (one row per monomial) and a float
 coefficient vector with -inf for bottom, whose rows one lexsort keeps
 sorted by exponent and free of repeats.  ``TropicalPolynomial(alpha,
-coeff)`` checks and normalises such arrays.  Tropical rational functions
-are differences f - g of two polynomials and are exactly the
-piecewise-linear functions this package cares about.
+coeff)`` checks and normalises such arrays.  A network's output is the
+difference f - g of two such polynomials.
 
 The linear regions of a polynomial, and the monomials that pruning keeps,
 are the vertices of the upper convex hull of the lifted points
@@ -35,10 +34,6 @@ import numpy as np
 
 class TropicalError(ValueError):
     """Base class for tropical-algebra contract violations."""
-
-
-class UndefinedPowerError(TropicalError):
-    """Raised for bottom raised to a negative tropical power."""
 
 
 class BottomValueError(TropicalError):
@@ -69,44 +64,6 @@ def _scalar(a) -> float:
     if math.isnan(a) or a == math.inf:
         raise TropicalError(f"tropical scalars are reals or BOTTOM (-inf), got {a}")
     return a
-
-
-def trop_add(a, b) -> float:
-    """a ⊕ b = max(a, b); bottom is the identity."""
-    return max(_scalar(a), _scalar(b))
-
-
-def _no_overflow(result: float, *operands) -> float:
-    """``result``, checked not to be ±inf when every operand is finite."""
-    if math.isinf(result) and all(math.isfinite(x) for x in operands):
-        raise TropicalError(f"finite operands {operands} overflow to {result}")
-    return result
-
-
-def trop_mul(a, b) -> float:
-    """a ⊙ b = a + b; bottom is absorbing, and finite a, b must not overflow."""
-    a, b = _scalar(a), _scalar(b)
-    return _no_overflow(a + b, a, b)
-
-
-def trop_pow(a, b: int) -> float:
-    """Tropical exponentiation a^{⊙b} for integer b.
-
-    For finite a this is the ordinary product a*b (the two integer-sign
-    cases collapse to it), which must not overflow; bottom^{⊙b} is bottom
-    for b > 0, the multiplicative identity 0 for b = 0, and undefined for
-    b < 0.
-    """
-    a, b = _scalar(a), int(b)
-    if a == BOTTOM:
-        if b < 0:
-            raise UndefinedPowerError("bottom to a negative tropical power is undefined")
-        return BOTTOM if b > 0 else ZERO
-    try:
-        return _no_overflow(a * b, a, b)
-    except OverflowError:  # b is an int past float range
-        raise TropicalError(f"exponent of {b.bit_length()} bits overflows "
-                            f"a float") from None
 
 
 def _normalise(alpha: np.ndarray, coeff: np.ndarray):
@@ -183,7 +140,11 @@ class TropicalPolynomial:
         return bool(self._coeff[0] == -np.inf)
 
     def __call__(self, x) -> float:
-        return eval_polynomial(self, x)
+        """max over monomials of c + alpha · x; errors on an all-bottom polynomial."""
+        x = np.asarray(x, dtype=float).reshape(-1)
+        if x.shape[0] != self.dim:
+            raise TropicalError(f"point has dimension {x.shape[0]}, expected {self.dim}")
+        return float(self.evaluate_batch(x[None, :])[0])
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at each row of ``points`` (shape (n, d))."""
@@ -229,39 +190,6 @@ class TropicalPolynomial:
 def constant_polynomial(dim: int, c: float) -> TropicalPolynomial:
     return TropicalPolynomial._from_arrays(np.zeros((1, dim), dtype=np.int64),
                                            np.array([_scalar(c)]))
-
-
-@dataclass(frozen=True)
-class TropicalRational:
-    """Tropical quotient f ⊘ g; evaluates to f(x) - g(x)."""
-
-    numerator: TropicalPolynomial
-    denominator: TropicalPolynomial
-
-    def __post_init__(self):
-        if self.numerator.dim != self.denominator.dim:
-            raise TropicalError("numerator and denominator dimensions differ")
-
-    @property
-    def dim(self) -> int:
-        return self.numerator.dim
-
-    def __call__(self, x) -> float:
-        return eval_polynomial(self.numerator, x) - eval_polynomial(self.denominator, x)
-
-    def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        return (self.numerator.evaluate_batch(points)
-                - self.denominator.evaluate_batch(points))
-
-
-def eval_polynomial(f: TropicalPolynomial, x) -> float:
-    """max over monomials of c + alpha · x; errors on an all-bottom polynomial."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != f.dim:
-        raise TropicalError(f"point has dimension {x.shape[0]}, expected {f.dim}")
-    if f.is_bottom:
-        raise BottomValueError("cannot evaluate an all-bottom polynomial")
-    return float(f.evaluate_batch(x[None, :])[0])
 
 
 def poly_add(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPolynomial:
@@ -337,7 +265,7 @@ DELTA_CAP = 1.0
 #: rank of the exponents, the flatness of c (times max(1, |c|)), the c part
 #: of an upper facet's unit normal, and the spread of a vertex's normals.
 HULL_TOL = 1e-9
-#: Default grid-oracle box and step (sound for d <= 2 at this resolution).
+#: Grid-oracle box and step (sound for d <= 2 at this resolution).
 GRID_BOX = (-10.0, 10.0)
 GRID_STEP = 0.05
 
@@ -475,25 +403,23 @@ def prune_redundant_monomials(f: TropicalPolynomial) -> TropicalPolynomial:
     return TropicalPolynomial._from_arrays(f._alpha[keep], coeff[keep])
 
 
-def _grid_points(dim: int, box: tuple[float, float], step: float) -> np.ndarray:
-    lo, hi = box
-    axis = np.arange(lo, hi + step / 2, step)
+def _grid_points(dim: int) -> np.ndarray:
+    lo, hi = GRID_BOX
+    axis = np.arange(lo, hi + GRID_STEP / 2, GRID_STEP)
     if dim == 1:
         return axis[:, None]
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     return np.column_stack([g.ravel() for g in grids])
 
 
-def count_linear_regions(f: TropicalPolynomial, method: str = "hull",
-                         box: tuple[float, float] = GRID_BOX,
-                         step: float = GRID_STEP) -> RegionCount:
+def count_linear_regions(f: TropicalPolynomial, method: str = "hull") -> RegionCount:
     """Count maximal connected subsets of R^d on which ``f`` is affine.
 
     "hull" counts the upper-hull vertices of the lifted points
     (alpha_i, c_i).  "exact-lp" counts monomials whose strict-dominance
     cell is full-dimensional (slack LP per monomial); it is the oracle for
     "hull".  "grid-oracle" counts distinct argmax indices over a dense
-    grid on ``box``; it is a sound lower bound on the true count and
+    grid on ``GRID_BOX``; it is a sound lower bound on the true count and
     serves as a cross-check.
     """
     alpha, coeff = _finite_parts(f)
@@ -502,7 +428,7 @@ def count_linear_regions(f: TropicalPolynomial, method: str = "hull",
         n = len(maximal(alpha, coeff))
         return RegionCount(count=max(n, 1), method=method, dim=f.dim)
     if method == "grid-oracle":
-        points = _grid_points(f.dim, box, step)
+        points = _grid_points(f.dim)
         won = np.zeros(len(coeff), dtype=bool)
         for start in range(0, len(points), 65536):
             vals = points[start:start + 65536] @ alpha.T

@@ -331,9 +331,9 @@ class TestMartingaleGrades:
         # the same convex-order seed.
         seen = []
 
-        def recording(s1, s2, k, alpha, seed):
+        def recording(s1, s2, seed):
             seen.append(seed)
-            return convex_order_check(s1, s2, k=k, alpha=alpha, seed=seed)
+            return convex_order_check(s1, s2, seed=seed)
 
         monkeypatch.setattr(tropnet.bounds, "convex_order_check", recording)
         traj = simulate_random_walk(steps=4, n=200, seed=5, dim=1)

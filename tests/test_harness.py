@@ -259,6 +259,24 @@ def test_invalid_config_is_one_json_error(case, tmp_path, capsys):
     assert fragment in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("subcommand, section", [("regions", {"sample": {"count": 4}}),
+                                                  ("simulate", {"n": 4})])
+def test_overflowing_network_writes_no_data(subcommand, section, tmp_path, capsys):
+    # Accepted by the validator; the symbolic coefficients and the pair
+    # recursion overflow.  Unguarded, regions counted polynomials with +inf
+    # and NaN coefficients and simulate wrote a NaN runs.csv.
+    network = {"widths": [2, 3, 3, 1], "r": 1, "thresholds": ["relu", "relu", "identity"],
+               "weight_dist": {"kind": "bounded-uniform-integer", "lo": -3, "hi": 3},
+               "bias_dist": {"kind": "bounded-uniform-real", "lo": -8e307, "hi": 8e307}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"network": network, subcommand: section}))
+    out = tmp_path / "o"
+    code = main([subcommand, "--config", str(path), "--json-errors", "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert json.loads(capsys.readouterr().out)["error"].startswith("SpecError: ")
+    assert not list(out.glob("*"))
+
+
 def fresh_scipy_modules(code: str) -> set[str]:
     """The scipy modules loaded by ``code`` run in a fresh interpreter."""
     code += ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"

@@ -305,10 +305,22 @@ class TestRunNetwork:
         with pytest.raises(SpecError, match="input has dimension 3, expected 2"):
             run_network(small_spec(), [0.1, 0.2, 0.3], seed=0)
 
+    def test_overflowing_layer_is_a_spec_error(self):
+        # Simulated draws name the same error (TestBatchedSimulation).
+        with pytest.raises(SpecError, match="outputs are not finite"):
+            run_network(overflowing_spec(), [0.5, -0.5], seed=0)
+
     def test_json_round_trip(self):
         run = run_network(small_spec(), [0.1, 0.2], seed=3)
         data = run.to_dict()
         assert data["nu"][0] == pytest.approx(list(np.asarray(run.nu[0])))
+
+
+def overflowing_spec() -> NetworkSpec:
+    """Accepted by the validator, but finite parameters overflow a double."""
+    return NetworkSpec(widths=(2, 3, 3, 1), r=1, weight_dist=uniform_int(-3, 3),
+                       bias_dist=uniform_real(-8e307, 8e307),
+                       thresholds=("relu", "relu", "identity"))
 
 
 LAW_KINDS = ["copula", "random-thresholds", "identity-init", "overrides",
@@ -405,6 +417,13 @@ class TestRunSymbolic:
         spec = small_spec(widths=(2, 6, 6, 6), r=3, wlo=-3, whi=3)
         with pytest.raises(MonomialCapError):
             run_symbolic(spec, seed=0, cap=20)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_overflowing_coefficients_are_a_spec_error(self, seed):
+        # Without the guard these draws give polynomials with +inf and NaN
+        # coefficients, and regions counts them.
+        with pytest.raises(SpecError, match="symbolic coefficients are not finite"):
+            run_symbolic(overflowing_spec(), seed=seed)
 
 
 class TestBatchedSimulation:
@@ -504,6 +523,25 @@ class TestIntervals:
                            thresholds=("relu", "relu", "identity"))
         with pytest.raises(SpecError, match="layer 1 intervals are not finite"):
             propagate_intervals(spec)
+
+    @pytest.mark.parametrize("spec, xi", [
+        (reference_spec(), [6 * np.sqrt(2), 50, 402, 3218]),
+        (reference_classifier_spec(), [6 * np.sqrt(2), 50, 402, 1610]),
+    ], ids=["reference", "reference-classifier"])
+    def test_reference_certificate_is_the_all_extreme_draw(self, spec, xi):
+        # At x = (1, 1), every F0 monomial at c = 1 and alpha = (2, 2) and
+        # every G0 monomial at c = -1 and alpha = 0 give nu0 = (6, 6); every
+        # weight at +2 and every bias at the top of its window then reach xi.
+        nu, norms = np.full(2, 6.0), [6 * np.sqrt(2)]
+        for l in range(1, spec.depth + 1):
+            n_out, n_in = spec.widths[l], spec.widths[l - 1]
+            nu = forward_relu_direct(nu, LayerSample.from_weights(
+                np.full((n_out, n_in), 2.0), np.full(n_out, spec.bias_dist_for(l).hi),
+                np.zeros(n_out)))
+            norms.append(np.linalg.norm(nu))
+        np.testing.assert_allclose(norms, xi, rtol=1e-12)
+        np.testing.assert_allclose([iv.xi for iv in propagate_intervals(spec)], xi,
+                                   rtol=1e-12)
 
     def test_cancelling_layer_is_certified_zero(self):
         # Layer 1 is >= 0 and every weight is < 0, so layer 2 is max(<= 0, 0) = 0;

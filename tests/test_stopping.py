@@ -14,7 +14,6 @@ from tropnet.stopping import (
     StoppingError,
     backward_induction_exact,
     backward_induction_lsmc,
-    check_local_monotonicity,
     exhaustive_stopping_oracle,
     gamma_value,
     loss_mse,
@@ -77,26 +76,6 @@ class TestGammaValue:
     def test_out_of_horizon(self):
         with pytest.raises(StoppingError):
             gamma_value(GammaSpec(horizon=3), 4, 1.0)
-
-
-class TestShape:
-    def test_monotone_increasing(self):
-        assert check_local_monotonicity([1, 2, 3]).shape == "monotone-increasing"
-
-    def test_unimodal_peak(self):
-        rep = check_local_monotonicity([1, 3, 2, 1])
-        assert rep.shape == "unimodal" and rep.peak == 2
-
-    def test_log_sqrt_profile(self):
-        L = np.arange(1, 1001)
-        rep = check_local_monotonicity(np.log(L) / np.sqrt(L))
-        assert rep.shape == "unimodal" and rep.peak == 7
-
-    def test_irregular(self):
-        assert check_local_monotonicity([1, 3, 2, 4]).shape == "irregular"
-
-    def test_constant(self):
-        assert check_local_monotonicity([2, 2, 2]).shape == "constant"
 
 
 class TestExactInduction:

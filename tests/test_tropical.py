@@ -16,19 +16,14 @@ from tropnet.tropical import (
     MonomialCapError,
     TropicalError,
     TropicalPolynomial,
-    TropicalRational,
-    UndefinedPowerError,
+    constant_polynomial,
     count_linear_regions,
-    eval_polynomial,
     poly_add,
     poly_mul,
     poly_weighted_combine,
     polynomial_from_dict,
     polynomial_to_dict,
     prune_redundant_monomials,
-    trop_add,
-    trop_mul,
-    trop_pow,
 )
 from tropnet.tropical import _finite_parts, _grid_points, _hull_maximal, _lp_maximal
 
@@ -61,119 +56,145 @@ def tropical_values():
     return st.one_of(st.just(BOTTOM), st.floats(-1e3, 1e3, allow_nan=False))
 
 
-def near(u, v):
-    # Max is exact; the additive carrier of the product needs float slack.
-    if u == BOTTOM or v == BOTTOM:
-        return u == v
-    return math.isclose(u, v, rel_tol=1e-12, abs_tol=1e-9)
+@st.composite
+def tropical_polys(draw):
+    """A constant polynomial or one of up to four monomials, over d = 2."""
+    if draw(st.booleans()):
+        return constant_polynomial(2, draw(tropical_values()))
+    rows = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                         min_size=1, max_size=4, unique=True))
+    return TropicalPolynomial(rows, draw(st.lists(tropical_values(), min_size=len(rows),
+                                                  max_size=len(rows))))
+
+
+def const(c, d=1):
+    return constant_polynomial(d, c)
+
+
+def near(f, g):
+    """Same monomials, coefficients equal up to the roundoff of ⊙'s sums."""
+    return np.array_equal(f._alpha, g._alpha) \
+        and np.allclose(f._coeff, g._coeff, rtol=1e-12, atol=1e-9)
+
+
+def same_function(f, g, points):
+    """f and g agree at every point, or both are bottom."""
+    if f.is_bottom or g.is_bottom:
+        return f.is_bottom and g.is_bottom
+    return np.allclose(f.evaluate_batch(points), g.evaluate_batch(points),
+                       rtol=1e-12, atol=1e-9)
+
+
+def assert_semiring_laws(a, b, c, m, n, points):
+    """⊕ = poly_add, ⊙ = poly_mul and powers = scale obey the semiring laws."""
+    assert poly_add(poly_add(a, b), c) == poly_add(a, poly_add(b, c))
+    assert near(poly_mul(poly_mul(a, b), c), poly_mul(a, poly_mul(b, c)))
+    assert poly_add(a, b) == poly_add(b, a)
+    assert poly_mul(a, b) == poly_mul(b, a)
+    assert poly_mul(a, poly_add(b, c)) == poly_add(poly_mul(a, b), poly_mul(a, c))
+    assert poly_add(a, a) == a
+    bottom, zero = const(BOTTOM, a.dim), const(ZERO, a.dim)
+    assert poly_add(a, bottom) == a
+    assert poly_mul(a, zero) == a
+    assert poly_mul(a, bottom).is_bottom
+    # Powers: a^0 is the unit, a^1 = a, powers distribute over ⊙, and they
+    # add: as polynomials on one monomial, as functions on several, where
+    # a ⊙ a keeps cross terms that are nowhere maximal.
+    assert a.scale(0) == zero
+    assert a.scale(1) == a
+    assert near(poly_mul(a, b).scale(n), poly_mul(a.scale(n), b.scale(n)))
+    added = (poly_mul(a.scale(m), a.scale(n)), a.scale(m + n))
+    if a.num_monomials == 1:
+        assert near(*added)
+    assert same_function(*added, points)
 
 
 class TestScalarOps:
-    def test_trop_add(self):
-        assert trop_add(3, 5) == 5.0 and type(trop_add(3, 5)) is float
-        assert trop_add(BOTTOM, 4) == 4.0
-        assert trop_add(2, 2) == 2.0  # idempotence
+    """The scalars are the constant polynomials: ⊕ is poly_add, ⊙ is
+    poly_mul and the tropical power is ``scale``."""
 
-    def test_trop_mul(self):
-        assert trop_mul(3, 5) == 8.0
-        assert trop_mul(0, 7) == 7.0  # 0 is the unit
-        assert trop_mul(BOTTOM, 7) == BOTTOM         # absorbing
+    def test_add_is_max(self):
+        assert poly_add(const(3), const(5)) == const(5.0)
+        assert type(poly_add(const(3), const(5))([0.0])) is float
+        assert poly_add(const(BOTTOM), const(4)) == const(4.0)
+        assert poly_add(const(2), const(2)) == const(2.0)  # idempotence
 
-    def test_trop_pow(self):
-        assert trop_pow(2, 3) == 6.0
-        assert trop_pow(BOTTOM, 0) == ZERO
-        with pytest.raises(UndefinedPowerError):
-            trop_pow(BOTTOM, -1)
+    def test_mul_is_plus(self):
+        assert poly_mul(const(3), const(5)) == const(8.0)
+        assert poly_mul(const(ZERO), const(7)) == const(7.0)  # 0 is the unit
+        assert poly_mul(const(BOTTOM), const(7)).is_bottom    # absorbing
 
-    def test_trop_pow_negative_exponent_is_ordinary_product(self):
-        # (-a)(-b) for negative integer exponents equals a*b.
-        assert trop_pow(3, -2) == -6.0
+    def test_scale_is_the_tropical_power(self):
+        assert const(2).scale(3) == const(6.0)
+        assert const(BOTTOM).scale(0) == const(ZERO)
+        assert const(BOTTOM).scale(3).is_bottom
+        assert poly_mul(const(2).scale(2), const(2).scale(3)) == const(2).scale(5)
 
     def test_div_then_mul_recovers(self):
-        # Division by b is multiplication by its inverse b^{-1} = -b.
+        # Division by b is multiplication by its inverse -b, a shift.
         rng = np.random.default_rng(0)
         for _ in range(100):
             a, b = rng.normal(size=2) * 5
-            back = trop_mul(trop_mul(a, trop_pow(b, -1)), b)
-            assert math.isclose(back, a, abs_tol=1e-12)
+            back = poly_mul(const(a).shift(-b), const(b))
+            assert math.isclose(back([0.0]), a, abs_tol=1e-12)
 
     def test_div_by_bottom_is_an_error(self):
-        # Bottom has no inverse.
-        with pytest.raises(UndefinedPowerError):
-            trop_mul(3, trop_pow(BOTTOM, -1))
+        # Bottom has no inverse: there is no negative power, and its would-be
+        # inverse +inf is not a scalar.
+        with pytest.raises(TropicalError):
+            const(BOTTOM).scale(-1)
+        with pytest.raises(TropicalError):
+            const(3).shift(math.inf)
 
     def test_semiring_laws_on_sampled_triples(self):
-        def close(u, v):
-            # Max is exact; the additive carrier of the product needs float slack.
-            if u == BOTTOM or v == BOTTOM:
-                return u == v
-            return math.isclose(u, v, abs_tol=1e-12)
-
         rng = np.random.default_rng(1)
-        pool = [BOTTOM] + [float(v) for v in rng.normal(size=30) * 10]
-        idx = rng.integers(0, len(pool), size=(200, 3))
-        for i, j, k in idx:
-            a, b, c = pool[i], pool[j], pool[k]
-            assert trop_add(trop_add(a, b), c) == trop_add(a, trop_add(b, c))
-            assert close(trop_mul(trop_mul(a, b), c), trop_mul(a, trop_mul(b, c)))
-            assert trop_add(a, b) == trop_add(b, a)
-            assert trop_mul(a, b) == trop_mul(b, a)
-            lhs = trop_mul(a, trop_add(b, c))
-            rhs = trop_add(trop_mul(a, b), trop_mul(a, c))
-            assert close(lhs, rhs)
-            assert trop_add(a, a) == a
+        pool = [const(BOTTOM, 2)] + [const(float(v), 2) for v in rng.normal(size=15) * 10]
+        pool += [random_poly(rng, 2, int(rng.integers(1, 5))) for _ in range(15)]
+        points = rng.uniform(-3, 3, size=(20, 2))
+        for i, j, k in rng.integers(0, len(pool), size=(200, 3)):
+            m, n = (int(v) for v in rng.integers(0, 5, size=2))
+            assert_semiring_laws(pool[i], pool[j], pool[k], m, n, points)
 
     def test_identities(self):
         rng = np.random.default_rng(2)
         for v in rng.normal(size=20):
-            a = float(v)
-            assert trop_add(BOTTOM, a) == a
-            assert trop_mul(ZERO, a) == a
+            for a in (const(float(v)), random_poly(rng, 1, 3)):
+                assert poly_add(const(BOTTOM), a) == a
+                assert poly_mul(const(ZERO), a) == a
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.lists(tropical_values(), min_size=3, max_size=3),
+    @given(st.lists(tropical_polys(), min_size=3, max_size=3),
            st.integers(0, 4), st.integers(0, 4))
     def test_semiring_laws(self, abc, m, n):
-        a, b, c = abc
-        assert trop_add(trop_add(a, b), c) == trop_add(a, trop_add(b, c))
-        assert near(trop_mul(trop_mul(a, b), c), trop_mul(a, trop_mul(b, c)))
-        assert trop_add(a, b) == trop_add(b, a)
-        assert trop_mul(a, b) == trop_mul(b, a)
-        assert near(trop_mul(a, trop_add(b, c)), trop_add(trop_mul(a, b), trop_mul(a, c)))
-        assert trop_add(a, BOTTOM) == a
-        assert trop_mul(a, ZERO) == a
-        assert trop_mul(a, BOTTOM) == BOTTOM
-        # Powers: a^0 is the unit, a^1 = a, and powers add and distribute.
-        assert trop_pow(a, 0) == ZERO
-        assert trop_pow(a, 1) == a
-        assert near(trop_mul(trop_pow(a, m), trop_pow(a, n)), trop_pow(a, m + n))
-        assert near(trop_pow(trop_mul(a, b), n), trop_mul(trop_pow(a, n), trop_pow(b, n)))
+        points = np.random.default_rng(m + 5 * n).uniform(-3, 3, size=(8, 2))
+        assert_semiring_laws(*abc, m, n, points)
 
     def test_nonfinite_floats_are_rejected(self):
         # -inf is BOTTOM; NaN and +inf are not tropical scalars.
         for bad in (math.nan, math.inf):
-            for op in (lambda: trop_add(bad, 1.0), lambda: trop_mul(1.0, bad),
-                       lambda: trop_pow(bad, 2), lambda: poly((bad, (0,)))):
+            for op in (lambda: const(bad), lambda: const(1.0).shift(bad),
+                       lambda: poly((bad, (0,)))):
                 with pytest.raises(ValueError):
                     op()
-        # Finite operands whose product overflows give neither +inf nor a
-        # -inf that would read as BOTTOM.
-        for op in (lambda: trop_mul(1e308, 1e308), lambda: trop_mul(-1e308, -1e308),
-                   lambda: trop_pow(1e308, 10), lambda: trop_pow(-1e308, 10),
-                   lambda: trop_pow(1e308, -10), lambda: trop_pow(2.0, 10**400)):
-            with pytest.raises(TropicalError, match="overflow"):
-                op()
-        # BOTTOM operands keep their semantics.
-        assert trop_mul(BOTTOM, 1e308) == BOTTOM
-        assert trop_mul(BOTTOM, BOTTOM) == BOTTOM
-        assert trop_pow(BOTTOM, 3) == BOTTOM and trop_pow(BOTTOM, 0) == ZERO
+        # Bottom arithmetic raises no floating-point flag, and finite
+        # coefficients that overflow do: run_symbolic turns that flag into
+        # a SpecError.
+        with np.errstate(over="raise", invalid="raise"):
+            assert poly_mul(const(BOTTOM), const(1e308)).is_bottom
+            assert poly_mul(const(BOTTOM), const(BOTTOM)).is_bottom
+            assert const(BOTTOM).scale(3).is_bottom
+            assert const(1e308).shift(BOTTOM).is_bottom
+            for op in (lambda: poly_mul(const(1e308), const(1e308)),
+                       lambda: const(1e308).scale(10), lambda: const(-1e308).scale(10)):
+                with pytest.raises(FloatingPointError):
+                    op()
 
 
 class TestPolynomials:
     def test_relu_evaluation(self):
         f = poly((0.0, (1,)), (0.0, (0,)))  # max(x, 0)
-        assert eval_polynomial(f, [-2.0]) == 0.0
-        assert eval_polynomial(f, [3.0]) == 3.0
+        assert f([-2.0]) == 0.0
+        assert f([3.0]) == 3.0
 
     def test_random_eval_matches_per_monomial_oracle(self):
         rng = np.random.default_rng(3)
@@ -181,7 +202,7 @@ class TestPolynomials:
         for x in rng.uniform(-5, 5, size=(100, 2)):
             # Oracle: evaluate each affine piece independently, then max.
             direct = max(c + np.dot(a, x) for a, c in rows_of(f))
-            assert eval_polynomial(f, x) == pytest.approx(direct, abs=1e-12)
+            assert f(x) == pytest.approx(direct, abs=1e-12)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -190,7 +211,7 @@ class TestPolynomials:
     def test_all_bottom_polynomial_errors(self):
         f = poly((None, (0,)))
         with pytest.raises(BottomValueError):
-            eval_polynomial(f, [1.0])
+            f([1.0])
 
     def test_duplicate_exponents_merge_keeping_max(self):
         f = poly((1.0, (1, 0)), (3.0, (1, 0)), (0.0, (0, 0)))
@@ -198,22 +219,13 @@ class TestPolynomials:
         kept = dict(rows_of(f))
         assert kept[(1, 0)] == 3.0
 
-    def test_rational_eval_is_pointwise_difference(self):
-        rng = np.random.default_rng(4)
-        f = random_poly(rng, d=2, r=4)
-        g = random_poly(rng, d=2, r=3)
-        rat = TropicalRational(f, g)
-        for x in rng.uniform(-4, 4, size=(50, 2)):
-            assert rat(x) == pytest.approx(eval_polynomial(f, x) - eval_polynomial(g, x),
-                                           abs=1e-12)
-
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
         f = random_poly(rng, d=3, r=6)
         pts = rng.uniform(-3, 3, size=(40, 3))
         batch = f.evaluate_batch(pts)
         for v, x in zip(batch, pts):
-            assert v == eval_polynomial(f, x)
+            assert v == f(x)
 
 
 def dict_merge(rows, d):
@@ -320,7 +332,7 @@ class TestWeightedCombine:
         polys = [random_poly(rng, 2, 3) for _ in range(3)]
         out = poly_weighted_combine(polys, [0, 0, 0], bias=ZERO)
         assert out.num_monomials == 1
-        assert eval_polynomial(out, [1.0, -1.0]) == 0.0
+        assert out([1.0, -1.0]) == 0.0
 
     def test_single_poly_weight_one_is_identity(self):
         rng = np.random.default_rng(7)
@@ -334,8 +346,8 @@ class TestWeightedCombine:
         p1, p2 = random_poly(rng, 2, 3), random_poly(rng, 2, 3)
         out = poly_weighted_combine([p1, p2], [2, 1], bias=0.5)
         for x in rng.uniform(-5, 5, size=(50, 2)):
-            want = 2 * eval_polynomial(p1, x) + eval_polynomial(p2, x) + 0.5
-            assert eval_polynomial(out, x) == pytest.approx(want, abs=1e-9)
+            want = 2 * p1(x) + p2(x) + 0.5
+            assert out(x) == pytest.approx(want, abs=1e-9)
 
     def test_negative_weight_rejected(self):
         p = poly((0.0, (1,)))
@@ -500,7 +512,7 @@ class TestUpperHull:
         for _ in range(30):
             f = random_poly(rng, int(rng.integers(1, 3)), int(rng.integers(1, 8)))
             alpha, coeff = _finite_parts(f)
-            points = _grid_points(f.dim, (-10.0, 10.0), 0.05)
+            points = _grid_points(f.dim)
             winners = set()
             for start in range(0, len(points), 65536):
                 vals = points[start:start + 65536] @ alpha.T + coeff
