@@ -92,8 +92,10 @@ def region_count_bound(t: float, b1: int) -> float:
 # Empirical estimation
 # ---------------------------------------------------------------------------
 
-def estimate_tail(samples: np.ndarray, center: np.ndarray, t: float):
-    """Fraction of samples with ||sample - center||_2 >= t, with its SE."""
+def estimate_tail(samples: np.ndarray, center: np.ndarray,
+                  t_grid: Sequence[float]) -> list[tuple[float, float]]:
+    """Fraction of samples with ||sample - center||_2 >= t, with its SE, for
+    each t in ``t_grid``; the distances are computed once for the grid."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     n = samples.shape[0]
     if n < 1000:
@@ -106,7 +108,7 @@ def estimate_tail(samples: np.ndarray, center: np.ndarray, t: float):
     if not np.isfinite(dist).all() and not (np.isfinite(samples).all()
                                             and np.isfinite(center).all()):
         raise ValueError("tail estimation needs finite samples and center")
-    return binomial_estimate(int(np.count_nonzero(dist >= t)), n)
+    return [binomial_estimate(int(np.count_nonzero(dist >= t)), n) for t in t_grid]
 
 
 @dataclass(frozen=True)
@@ -177,10 +179,10 @@ def verify_layer_concentration(spec: NetworkSpec,
             raise ValueError(f"certificate violated: empirical max {observed} "
                              f"exceeds xi={xi} at layer {l}")
         grid = np.linspace(0.0, 2.0 * xi, 10) if t_grid is None else t_grid
-        for t in grid:
-            p_hat, se = estimate_tail(sample[l - 1], center, float(t))
-            reports.append(BoundReport(kind="nSG", layer=l, t=float(t),
-                                       analytic=nsg_bound(float(t), xi),
+        grid = [float(t) for t in grid]
+        for t, (p_hat, se) in zip(grid, estimate_tail(sample[l - 1], center, grid)):
+            reports.append(BoundReport(kind="nSG", layer=l, t=t,
+                                       analytic=nsg_bound(t, xi),
                                        empirical=p_hat, se=se, n=n,
                                        params=(xi,)))
     return reports
@@ -359,8 +361,8 @@ def walk_tail_reports(traj: np.ndarray, a_grid: Sequence[float],
     reports = []
     center = np.zeros(traj.shape[2])
     for l in range(1, steps_plus):
-        for a in a_grid:
-            p_hat, se = estimate_tail(traj[:, l], center, m * float(a))
+        tails = estimate_tail(traj[:, l], center, [m * float(a) for a in a_grid])
+        for a, (p_hat, se) in zip(a_grid, tails):
             reports.append(BoundReport(kind="martingale", layer=l, t=m * float(a),
                                        analytic=mgale_bound(float(a), m, l),
                                        empirical=p_hat, se=se, n=n,

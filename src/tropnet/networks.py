@@ -33,7 +33,13 @@ from itertools import repeat
 import numpy as np
 
 from .seeding import block_indices, stream
-from .tropical import TropicalPolynomial, poly_add, poly_weighted_combine
+from .tropical import (
+    MonomialCapError,
+    TropicalError,
+    TropicalPolynomial,
+    poly_add,
+    poly_weighted_combine,
+)
 
 
 class SpecError(ValueError):
@@ -639,7 +645,8 @@ def run_symbolic(spec: NetworkSpec, seed: int, cap: int = 10_000) -> SymbolicRun
     numeric evaluation of the result matches the numeric forward pass at
     any x.  Raises MonomialCapError when the composition outgrows ``cap``
     even after pruning, and ``SpecError`` when a finite coefficient
-    overflows (bottom's -inf arithmetic raises no floating-point flag).
+    overflows (bottom's -inf arithmetic raises no floating-point flag) or
+    an exponent outgrows int64.
     """
     net = sample_network(spec, seed)
     try:
@@ -648,6 +655,11 @@ def run_symbolic(spec: NetworkSpec, seed: int, cap: int = 10_000) -> SymbolicRun
     except FloatingPointError as exc:
         raise SpecError(f"symbolic coefficients are not finite ({exc}): the "
                         f"spec's parameters overflow double precision") from None
+    except MonomialCapError:
+        raise
+    except TropicalError as exc:
+        raise SpecError(f"symbolic exponents overflow ({exc}): the spec's "
+                        f"weights are too large for its depth") from None
     return SymbolicRun(spec=spec, seed=seed, f_polys=tuple(f_layers),
                        g_polys=tuple(g_layers), layers=net.layers)
 

@@ -16,6 +16,14 @@ sorted by exponent and free of repeats.  ``TropicalPolynomial(alpha,
 coeff)`` checks and normalises such arrays.  A network's output is the
 difference f - g of two such polynomials.
 
+Products are one sorted-key Minkowski fold (``_minkowski_fold``): the
+exponent rows are packed into uint64 keys in a mixed radix sized by the
+product's degree bound, so each factor is one broadcast add of keys and
+coefficients, one sort of the keys and a max over each run of equal keys,
+and the rows are unpacked once at the end.  ``poly_mul`` is its two-factor case and
+``poly_weighted_combine`` folds every weighted factor from the bias row.
+An exponent past the int64 range is a ``TropicalError``.
+
 The linear regions of a polynomial, and the monomials that pruning keeps,
 are the vertices of the upper convex hull of the lifted points
 (alpha_i, c_i) (Zhang, Naitzat & Lim, ICML 2018), found with one Qhull
@@ -25,6 +33,7 @@ oracles for that count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -56,6 +65,8 @@ class RegionCountError(TropicalError):
 BOTTOM = -math.inf
 #: Multiplicative identity of ⊙.
 ZERO = 0.0
+#: Largest exponent an int64 exponent matrix holds.
+_MAX_EXPONENT = 2 ** 63 - 1
 
 
 def _scalar(a) -> float:
@@ -116,14 +127,21 @@ class TropicalPolynomial:
             raise TropicalError("monomial exponents must be nonnegative integers")
         if not (coeff < np.inf).all():
             raise TropicalError("coefficients must be reals or BOTTOM (-inf), not NaN or +inf")
-        self._alpha, self._coeff = _normalise(exps.astype(np.int64), coeff)
+        # Integer input converts exactly; floats are exact only up to 2**53.
+        exact = alpha if alpha.dtype.kind in "iu" else exps
+        self._alpha, self._coeff = _normalise(exact.astype(np.int64), coeff)
 
     @classmethod
     def _from_arrays(cls, alpha: np.ndarray, coeff: np.ndarray) -> "TropicalPolynomial":
         """Polynomial with rows (alpha_i, coeff_i), trusted nonnegative and
         finite or -inf, normalised as the public constructor does."""
+        return cls._trusted(*_normalise(alpha, coeff))
+
+    @classmethod
+    def _trusted(cls, alpha: np.ndarray, coeff: np.ndarray) -> "TropicalPolynomial":
+        """Polynomial on rows that are already normalised."""
         f = object.__new__(cls)
-        f._alpha, f._coeff = _normalise(alpha, coeff)
+        f._alpha, f._coeff = alpha, coeff
         return f
 
     @property
@@ -162,11 +180,18 @@ class TropicalPolynomial:
             raise TropicalError("tropical powers of polynomials need nonnegative weights")
         if w == 0:
             return constant_polynomial(self.dim, ZERO)
+        top = int(self._alpha.max()) * w
+        if top > _MAX_EXPONENT:
+            raise TropicalError(f"exponents reach {top}, past the int64 range")
         return self._from_arrays(self._alpha * w, self._coeff * w)
 
     def shift(self, c: float) -> "TropicalPolynomial":
         """Multiply by the scalar c (add c to every coefficient)."""
-        return self._from_arrays(self._alpha, self._coeff + _scalar(c))
+        c = _scalar(c)
+        if c == BOTTOM:
+            return constant_polynomial(self.dim, BOTTOM)
+        # A finite shift keeps the rows' order and which of them are bottom.
+        return self._trusted(self._alpha, self._coeff + c)
 
     def __eq__(self, other):
         return (isinstance(other, TropicalPolynomial)
@@ -200,26 +225,16 @@ def poly_add(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPolynomial
                                            np.concatenate([f._coeff, g._coeff]))
 
 
-def poly_mul(f: TropicalPolynomial, g: TropicalPolynomial,
-             cap: int | None = None) -> TropicalPolynomial:
+def poly_mul(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPolynomial:
     """Tropical product f ⊙ g: Minkowski sum of monomial sets.
 
-    Coefficients add and exponents add across the full cross product;
-    duplicate exponents keep the larger coefficient.
+    The two-factor case of ``_minkowski_fold``: coefficients and exponents
+    add across the full cross product, and a repeated exponent keeps the
+    larger coefficient.
     """
     if f.dim != g.dim:
         raise TropicalError("cannot multiply polynomials of different dimension")
-    out = TropicalPolynomial._from_arrays(
-        (f._alpha[:, None, :] + g._alpha[None, :, :]).reshape(-1, f.dim),
-        (f._coeff[:, None] + g._coeff[None, :]).reshape(-1))
-    if cap is not None and out.num_monomials > cap:
-        out = prune_redundant_monomials(out)
-        if out.num_monomials > cap:
-            raise MonomialCapError(
-                f"symbolic composition produced {out.num_monomials} monomials "
-                f"(cap {cap}); use the numeric forward recursion instead"
-            )
-    return out
+    return _minkowski_fold(f._alpha, f._coeff, [(g, 1)], cap=None)
 
 
 def poly_weighted_combine(polys: Sequence[TropicalPolynomial],
@@ -231,7 +246,10 @@ def poly_weighted_combine(polys: Sequence[TropicalPolynomial],
     Returns the polynomial whose evaluation equals
     sum_j weights[j] * polys[j](x) + bias at every x.  Weights must be
     nonnegative integers; a zero weight contributes the multiplicative
-    identity.
+    identity.  One ``_minkowski_fold`` from the bias row multiplies in
+    polys[j]^{⊙weights[j]} for each nonzero weight, in order.  After each
+    factor, a product of more than ``cap`` monomials is pruned, and
+    ``MonomialCapError`` is raised if it is still over.
     """
     polys = list(polys)
     if not polys:
@@ -244,13 +262,96 @@ def poly_weighted_combine(polys: Sequence[TropicalPolynomial],
     dim = polys[0].dim
     if any(p.dim != dim for p in polys):
         raise TropicalError("polynomials must share one ambient dimension")
+    return _minkowski_fold(np.zeros((1, dim), dtype=np.int64), np.array([_scalar(bias)]),
+                           [(p, w) for p, w in zip(polys, weights) if w], cap)
 
-    out = constant_polynomial(dim, bias)
-    for p, w in zip(polys, weights):
-        if w == 0:
-            continue
-        out = poly_mul(out, p.scale(w), cap=cap)
-    return out
+
+@functools.lru_cache(maxsize=256)
+def _key_layout(degree: tuple[int, ...]):
+    """Mixed-radix packing of exponent rows bounded by ``degree``.
+
+    Coordinate k has radix degree[k] + 1.  Consecutive coordinates share a
+    uint64 word while the product of their radices fits in it, coordinate 0
+    most significant, so comparing the words in order compares the rows
+    lexicographically, and adding two keys adds their exponents as long as
+    the sum stays within ``degree``.  Returns the (words, d) matrix of
+    place values that packs a row, and each coordinate's word, place and
+    radix, which unpack it.
+    """
+    word, place, radix = [], [], []
+    w, span = 0, 1  # words counted from the least significant one
+    for k in reversed(range(len(degree))):
+        r = degree[k] + 1
+        if span * r > 2 ** 64:
+            w, span = w + 1, 1
+        word.append(w)
+        place.append(span)
+        radix.append(r)
+        span *= r
+    word = w - np.array(word[::-1], dtype=np.intp)
+    place = np.array(place[::-1], dtype=np.uint64)
+    packing = np.zeros((w + 1, len(degree)), dtype=np.uint64)
+    packing[word, np.arange(len(degree))] = place
+    layout = packing, word, place[:, None], np.array(radix[::-1], dtype=np.uint64)[:, None]
+    for a in layout:  # shared by every caller through the cache
+        a.setflags(write=False)
+    return layout
+
+
+def _minkowski_fold(alpha: np.ndarray, coeff: np.ndarray, factors,
+                    cap: int | None) -> TropicalPolynomial:
+    """The product (alpha, coeff) ⊙ p_1^{⊙w_1} ⊙ ... of ``factors`` [(p_j, w_j)].
+
+    (alpha, coeff) are canonical rows (``_normalise``) and every w_j >= 1.
+    The exponents stay packed in keys (``_key_layout``) sized by the
+    product's degree bound, the sum over the factors of each one's largest
+    exponent, which must fit in int64.  Each step is one broadcast key add
+    and one coefficient add, one sort of the keys, and a first-of-run mask
+    whose runs keep their largest coefficient; the exponents are unpacked
+    once, at the end.  Past ``cap`` monomials after a step the product is
+    pruned, and ``MonomialCapError`` is raised if it is still over.
+    """
+    degree = alpha.max(axis=0).tolist()
+    for p, w in factors:
+        degree = [dk + w * m for dk, m in zip(degree, p._alpha.max(axis=0).tolist())]
+    if degree and max(degree) > _MAX_EXPONENT:
+        raise TropicalError(f"product exponents reach {max(degree)}, past the "
+                            f"int64 range")
+    packing, word, place, radix = _key_layout(tuple(degree))
+
+    def pack(rows):
+        return packing @ rows.T.astype(np.uint64)
+
+    def unpack(keys, coeff):
+        rows = (keys[word] // place % radix).T.astype(np.int64, order="C")
+        return TropicalPolynomial._trusted(rows, coeff)
+
+    keys = pack(alpha)
+    for p, w in factors:
+        # One row times sorted rows is sorted and has no repeats.
+        presorted = len(coeff) == 1 or p.num_monomials == 1
+        bottom = coeff[0] == -np.inf or p.is_bottom
+        keys = (keys[:, :, None] + pack(p._alpha)[:, None, :] * w).reshape(len(keys), -1)
+        coeff = (coeff[:, None] + p._coeff * w).ravel()
+        if bottom:  # every row is bottom; w * c was still formed, so overflow raises
+            keys, coeff = np.zeros((len(keys), 1), dtype=np.uint64), np.array([-np.inf])
+        elif not presorted:
+            # lexsort's last key is the primary one.  A repeated exponent
+            # keeps the largest coefficient of its run, as ``_normalise`` does.
+            order = np.lexsort(keys[::-1]) if len(keys) > 1 else np.argsort(keys[0])
+            keys, coeff = keys[:, order], coeff[order]
+            first = np.ones(len(coeff), dtype=bool)
+            first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+            starts = np.flatnonzero(first)
+            keys, coeff = keys[:, starts], np.maximum.reduceat(coeff, starts)
+        if cap is not None and len(coeff) > cap:
+            out = prune_redundant_monomials(unpack(keys, coeff))
+            if out.num_monomials > cap:
+                raise MonomialCapError(
+                    f"symbolic composition produced {out.num_monomials} monomials "
+                    f"(cap {cap}); use the numeric forward recursion instead")
+            keys, coeff = pack(out._alpha), out._coeff
+    return unpack(keys, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +443,18 @@ def _hull_vertices(points: np.ndarray, upper: bool = False) -> list[int]:
     normals = hull.equations[:, :-1]
     faces = hull.simplices[normals[:, -1] > HULL_TOL] if upper else hull.simplices
     dim = points.shape[1]
+    # Vertex-facet incidence in one pass: a stable argsort of the flat
+    # simplices (dim vertices a facet) lists each vertex's facets in order.
+    order = np.argsort(hull.simplices.ravel(), kind="stable")
+    incident = hull.simplices.ravel()[order]
+    candidates = np.unique(faces)
+    lo = np.searchsorted(incident, candidates, side="left")
+    hi = np.searchsorted(incident, candidates, side="right")
     keep = []
-    for v in np.unique(faces):
-        sv = np.linalg.svd(normals[(hull.simplices == v).any(axis=1)],
-                           compute_uv=False)
+    for v, a, b in zip(candidates.tolist(), lo.tolist(), hi.tolist()):
+        sv = np.linalg.svd(normals[order[a:b] // dim], compute_uv=False)
         if len(sv) == dim and sv[-1] > HULL_TOL:
-            keep.append(int(v))
+            keep.append(v)
     return keep
 
 

@@ -259,15 +259,26 @@ def test_invalid_config_is_one_json_error(case, tmp_path, capsys):
     assert fragment in json.loads(out)["error"]
 
 
-@pytest.mark.parametrize("subcommand, section", [("regions", {"sample": {"count": 4}}),
-                                                  ("simulate", {"n": 4})])
-def test_overflowing_network_writes_no_data(subcommand, section, tmp_path, capsys):
-    # Accepted by the validator; the symbolic coefficients and the pair
-    # recursion overflow.  Unguarded, regions counted polynomials with +inf
-    # and NaN coefficients and simulate wrote a NaN runs.csv.
-    network = {"widths": [2, 3, 3, 1], "r": 1, "thresholds": ["relu", "relu", "identity"],
-               "weight_dist": {"kind": "bounded-uniform-integer", "lo": -3, "hi": 3},
-               "bias_dist": {"kind": "bounded-uniform-real", "lo": -8e307, "hi": 8e307}}
+#: Accepted by the validator; the symbolic coefficients and the pair
+#: recursion overflow.  Unguarded, regions counted polynomials with +inf and
+#: NaN coefficients and simulate wrote a NaN runs.csv.
+COEFFICIENT_OVERFLOW = {"widths": [2, 3, 3, 1], "r": 1,
+                        "thresholds": ["relu", "relu", "identity"],
+                        "weight_dist": {"kind": "bounded-uniform-integer", "lo": -3, "hi": 3},
+                        "bias_dist": {"kind": "bounded-uniform-real", "lo": -8e307,
+                                      "hi": 8e307}}
+#: Ten width-1 layers with weights of about 110 take the exponents past
+#: 2**63.  Unguarded, the int64 exponents wrapped to negative values.
+EXPONENT_OVERFLOW = {"widths": [1] * 11, "r": 1, "thresholds": ["relu"] * 9 + ["identity"],
+                     "weight_dist": {"kind": "bounded-uniform-integer", "lo": 100, "hi": 120}}
+
+
+@pytest.mark.parametrize("subcommand, section, network", [
+    ("regions", {"sample": {"count": 4}}, COEFFICIENT_OVERFLOW),
+    ("simulate", {"n": 4}, COEFFICIENT_OVERFLOW),
+    ("regions", {"sample": {"count": 4}}, EXPONENT_OVERFLOW),
+], ids=["regions-section0", "simulate-section1", "regions-exponents"])
+def test_overflowing_network_writes_no_data(subcommand, section, network, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"network": network, subcommand: section}))
     out = tmp_path / "o"

@@ -425,6 +425,16 @@ class TestRunSymbolic:
         with pytest.raises(SpecError, match="symbolic coefficients are not finite"):
             run_symbolic(overflowing_spec(), seed=seed)
 
+    def test_overflowing_exponents_are_a_spec_error(self):
+        # Ten layers of weights near 110 reach exponents of about 2 * 110**10,
+        # past 2**63; unguarded, they wrapped to negative exponents.
+        spec = small_spec(widths=(1,) * 11, r=1, wlo=100, whi=120)
+        with pytest.raises(SpecError, match="symbolic exponents overflow"):
+            run_symbolic(spec, seed=0)
+        # Nine layers of weights up to 30 stay far inside it.
+        spec = small_spec(widths=(1,) * 10, r=1, wlo=20, whi=30)
+        assert run_symbolic(spec, seed=0).f_polys[-1][0]._alpha.min() >= 0
+
 
 class TestBatchedSimulation:
     def test_block_structure_is_seed_deterministic(self):

@@ -25,7 +25,13 @@ from tropnet.tropical import (
     polynomial_to_dict,
     prune_redundant_monomials,
 )
-from tropnet.tropical import _finite_parts, _grid_points, _hull_maximal, _lp_maximal
+from tropnet.tropical import (
+    _finite_parts,
+    _grid_points,
+    _hull_maximal,
+    _key_layout,
+    _lp_maximal,
+)
 
 
 def poly(*terms):
@@ -364,6 +370,112 @@ class TestWeightedCombine:
         p1, p2 = random_poly(rng, 2, 4), random_poly(rng, 2, 4)
         with pytest.raises(MonomialCapError):
             poly_weighted_combine([p1, p2], [3, 3], bias=ZERO, cap=2)
+
+
+def product_oracle(factors, bias, d):
+    """Rows of bias ⊙ p_1^{⊙w_1} ⊙ ... by brute force: the max over the whole
+    cross product, merged by ``dict_merge``.  Exponents are Python ints."""
+    rows = [((0,) * d, bias)]
+    for p, w in factors:
+        if w:
+            rows = [(tuple(a + w * b for a, b in zip(ra, rb)), ca + w * cb)
+                    for ra, ca in rows for rb, cb in rows_of(p)]
+    return dict_merge(rows, d)
+
+
+#: Half-integers sum exactly, so the oracle's coefficients are the fold's.
+HALVES = st.integers(-4, 5).map(lambda k: -math.inf if k == 5 else k / 2)
+
+
+@st.composite
+def combine_cases(draw):
+    """(d, polys, weights, bias) with d = 1..5, weights 0..3 and bottom rows,
+    bottom polynomials and a bottom bias all possible.  Exponents are small,
+    or near multiples of 2**40, which packs one coordinate per key word."""
+    d = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([1, 2 ** 40]))
+    coordinate = st.tuples(st.integers(0, 2), st.integers(0, 1)).map(
+        lambda kj: kj[0] * scale + kj[1])
+    rows = st.lists(st.tuples(st.tuples(*[coordinate] * d), HALVES), min_size=1, max_size=5)
+    polys = [from_rows(r) for r in draw(st.lists(rows, min_size=1, max_size=4))]
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(polys), max_size=len(polys)))
+    return d, polys, weights, draw(HALVES)
+
+
+class TestMinkowskiFold:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(combine_cases())
+    def test_weighted_combine_is_the_max_over_the_cross_product(self, case):
+        d, polys, weights, bias = case
+        out = poly_weighted_combine(polys, weights, bias=bias)
+        assert rows_of(out) == product_oracle(zip(polys, weights), bias, d)
+        assert out._alpha.dtype == np.int64 and out._alpha.flags.c_contiguous
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(combine_cases())
+    def test_poly_mul_is_the_max_over_the_cross_product(self, case):
+        d, polys, _, _ = case
+        f, g = polys[0], polys[-1]
+        assert rows_of(poly_mul(f, g)) == product_oracle([(f, 1), (g, 1)], ZERO, d)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 3), st.data())
+    def test_cap_prunes_the_product_or_raises(self, d, data):
+        # The bias row times f^{w_f} has f's rows, under the cap, so only the
+        # last product can cross it: it is pruned if over, and an error if
+        # still over after pruning.
+        exponent = st.tuples(*[st.integers(0, 2)] * d)
+        finite = st.integers(-4, 4).map(lambda k: k / 2)
+        rows = st.lists(st.tuples(exponent, finite), min_size=1, max_size=6)
+        f, g = from_rows(data.draw(rows)), from_rows(data.draw(rows))
+        w_f, w_g = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        cap = data.draw(st.integers(f.num_monomials, f.num_monomials + 8))
+        want = from_rows(product_oracle([(f, w_f), (g, w_g)], ZERO, d))
+        if want.num_monomials > cap:
+            want = prune_redundant_monomials(want)
+        if want.num_monomials > cap:
+            with pytest.raises(MonomialCapError):
+                poly_weighted_combine([f, g], [w_f, w_g], cap=cap)
+        else:
+            assert poly_weighted_combine([f, g], [w_f, w_g], cap=cap) == want
+
+    def test_cap_returns_the_pruned_product(self):
+        # x^2 ⊕ 0 squared is x^4 ⊕ x^2 ⊕ 0, whose middle monomial ties.
+        f = poly((0.0, (0,)), (0.0, (2,)))
+        assert poly_weighted_combine([f], [2], cap=2) == f.scale(2)
+        assert poly_weighted_combine([f, f], [1, 1], cap=2) == poly((0.0, (0,)), (0.0, (4,)))
+        assert poly_weighted_combine([f, f], [1, 1]).num_monomials == 3
+
+    def test_cap_error_after_pruning(self):
+        # (0, 0), (1, 1), (2, 0) are all upper-hull vertices, and so are
+        # (0, 0), (2, 2), (4, 0) of the square.
+        f = poly((0.0, (0,)), (1.0, (1,)), (0.0, (2,)))
+        with pytest.raises(MonomialCapError):
+            poly_weighted_combine([f, f], [1, 1], cap=2)
+        assert poly_weighted_combine([f, f], [1, 1], cap=3) == poly((0.0, (0,)), (2.0, (2,)), (0.0, (4,)))
+
+    def test_key_order_is_the_row_order(self):
+        rng = np.random.default_rng(12)
+        for degree, words in [((2,), 1), ((3, 1, 4), 1), ((2 ** 40,) * 3, 3),
+                              ((2 ** 62, 1, 2 ** 62), 2), ((2 ** 63 - 1,), 1)]:
+            packing, word, place, radix = _key_layout(degree)
+            assert len(packing) == words
+            rows = np.column_stack([rng.integers(0, k, size=50, endpoint=True,
+                                                 dtype=np.int64) for k in degree])
+            keys = packing @ rows.T.astype(np.uint64)
+            np.testing.assert_array_equal(np.lexsort(keys[::-1]), np.lexsort(rows.T[::-1]))
+            np.testing.assert_array_equal((keys[word] // place % radix).T, rows)
+
+    def test_exponent_overflow_is_an_error(self):
+        with pytest.raises(TropicalError, match="int64"):
+            TropicalPolynomial([[2 ** 40, 1]], [0.5]).scale(2 ** 30)
+        top = poly((0.0, (2 ** 62, 0)))
+        with pytest.raises(TropicalError, match="int64"):
+            poly_mul(top, top)
+        with pytest.raises(TropicalError, match="int64"):
+            poly_weighted_combine([top], [2])
+        edge = poly_mul(top, poly((0.0, (2 ** 62 - 1, 5))))
+        assert rows_of(edge) == [((2 ** 63 - 1, 5), 0.0)]
 
 
 class TestRegions:
