@@ -33,7 +33,6 @@ oracles for that count.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -190,8 +189,11 @@ class TropicalPolynomial:
         c = _scalar(c)
         if c == BOTTOM:
             return constant_polynomial(self.dim, BOTTOM)
-        # A finite shift keeps the rows' order and which of them are bottom.
-        return self._trusted(self._alpha, self._coeff + c)
+        coeff = self._coeff + c
+        if not (coeff > -np.inf).all():  # c + c_i overflowed to bottom
+            return self._from_arrays(self._alpha, coeff)
+        # Otherwise a finite shift keeps the rows' order.
+        return self._trusted(self._alpha, coeff)
 
     def __eq__(self, other):
         return (isinstance(other, TropicalPolynomial)
@@ -266,7 +268,6 @@ def poly_weighted_combine(polys: Sequence[TropicalPolynomial],
                            [(p, w) for p, w in zip(polys, weights) if w], cap)
 
 
-@functools.lru_cache(maxsize=256)
 def _key_layout(degree: tuple[int, ...]):
     """Mixed-radix packing of exponent rows bounded by ``degree``.
 
@@ -292,10 +293,7 @@ def _key_layout(degree: tuple[int, ...]):
     place = np.array(place[::-1], dtype=np.uint64)
     packing = np.zeros((w + 1, len(degree)), dtype=np.uint64)
     packing[word, np.arange(len(degree))] = place
-    layout = packing, word, place[:, None], np.array(radix[::-1], dtype=np.uint64)[:, None]
-    for a in layout:  # shared by every caller through the cache
-        a.setflags(write=False)
-    return layout
+    return packing, word, place[:, None], np.array(radix[::-1], dtype=np.uint64)[:, None]
 
 
 def _minkowski_fold(alpha: np.ndarray, coeff: np.ndarray, factors,
@@ -330,15 +328,19 @@ def _minkowski_fold(alpha: np.ndarray, coeff: np.ndarray, factors,
     for p, w in factors:
         # One row times sorted rows is sorted and has no repeats.
         presorted = len(coeff) == 1 or p.num_monomials == 1
-        bottom = coeff[0] == -np.inf or p.is_bottom
         keys = (keys[:, :, None] + pack(p._alpha)[:, None, :] * w).reshape(len(keys), -1)
         coeff = (coeff[:, None] + p._coeff * w).ravel()
-        if bottom:  # every row is bottom; w * c was still formed, so overflow raises
+        # Bottom rows (a bottom factor, or a sum that overflowed) are
+        # dropped unless every row is bottom, as ``_normalise`` does.
+        live = coeff > -np.inf
+        if not live.all():
+            keys, coeff = keys[:, live], coeff[live]
+        if not len(coeff):
             keys, coeff = np.zeros((len(keys), 1), dtype=np.uint64), np.array([-np.inf])
         elif not presorted:
             # lexsort's last key is the primary one.  A repeated exponent
             # keeps the largest coefficient of its run, as ``_normalise`` does.
-            order = np.lexsort(keys[::-1]) if len(keys) > 1 else np.argsort(keys[0])
+            order = np.lexsort(keys[::-1])
             keys, coeff = keys[:, order], coeff[order]
             first = np.ones(len(coeff), dtype=bool)
             first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)

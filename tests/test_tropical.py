@@ -282,7 +282,10 @@ class TestArrayRepresentation:
         d, rows_f = first
         rows_g = data.draw(raw_rows().filter(lambda dr: dr[0] == d)
                            | st.just((d, [((0,) * d, 0.5)])))[1]
-        f, g = from_rows(rows_f), from_rows(rows_g)
+        # Exponents times 2**40 pack one coordinate per key word.
+        scale = data.draw(st.sampled_from([1, 2 ** 40]))
+        f, g = (from_rows([(tuple(scale * k for k in a), c) for a, c in rows])
+                for rows in (rows_f, rows_g))
         cross = [(tuple(a + b for a, b in zip(af, ag)), cf + cg)
                  for af, cf in rows_of(f) for ag, cg in rows_of(g)]
         prod = poly_mul(f, g)
@@ -411,13 +414,6 @@ class TestMinkowskiFold:
         assert rows_of(out) == product_oracle(zip(polys, weights), bias, d)
         assert out._alpha.dtype == np.int64 and out._alpha.flags.c_contiguous
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(combine_cases())
-    def test_poly_mul_is_the_max_over_the_cross_product(self, case):
-        d, polys, _, _ = case
-        f, g = polys[0], polys[-1]
-        assert rows_of(poly_mul(f, g)) == product_oracle([(f, 1), (g, 1)], ZERO, d)
-
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.integers(1, 3), st.data())
     def test_cap_prunes_the_product_or_raises(self, d, data):
@@ -465,6 +461,18 @@ class TestMinkowskiFold:
             keys = packing @ rows.T.astype(np.uint64)
             np.testing.assert_array_equal(np.lexsort(keys[::-1]), np.lexsort(rows.T[::-1]))
             np.testing.assert_array_equal((keys[word] // place % radix).T, rows)
+
+    def test_coefficients_that_overflow_to_bottom_are_dropped(self):
+        # -1e308 + -1e308 is -inf: such rows go, as the constructor drops
+        # bottom rows, unless every row is bottom.
+        f = poly((-1e308, (0,)), (0.0, (1,)))
+        low = poly((-1e308, (0,)))
+        with np.errstate(over="ignore"):
+            assert rows_of(poly_mul(f, low)) == [((1,), -1e308)]
+            assert rows_of(poly_weighted_combine([f, low, f], [1, 1, 1])) == [((2,), -1e308)]
+            assert rows_of(f.shift(-1e308)) == [((1,), -1e308)]
+            assert poly_mul(low, low).is_bottom and low.shift(-1e308).is_bottom
+            assert poly_weighted_combine([low], [2]).is_bottom
 
     def test_exponent_overflow_is_an_error(self):
         with pytest.raises(TropicalError, match="int64"):
