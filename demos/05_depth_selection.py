@@ -33,7 +33,9 @@ print(f"selected depth tau = {sol.tau}, value = {sol.value:.4f}\n")
 # --- stochastic utilities: exact induction vs brute force --------------------
 # On a finite-support Markov process the envelope can be computed exactly
 # and verified against literal enumeration of every stopping rule.
-process = FiniteSupportProcess.iid([0.2, 1.0], [0.5, 0.5], horizon=4)
+support, probs = np.array([0.2, 1.0]), np.array([0.5, 0.5])
+process = FiniteSupportProcess(values=(support,) * 4, initial=probs,
+                               transitions=(np.tile(probs, (2, 1)),) * 3)
 exact = backward_induction_exact(process)
 oracle = exhaustive_stopping_oracle(process)
 print("iid two-point utility, horizon 4:")
@@ -43,7 +45,8 @@ print(f"  enumeration value = {oracle.value:.6f}  "
 print("  tau distribution  =", dict(exact.tau_distribution))
 
 # --- regression Monte Carlo on sampled paths ----------------------------------
-traj = process.sample_trajectories(20_000, stream(0, "demo"))
+# The stages are iid, so a path is four independent draws of the law.
+traj = support[stream(0, "demo").choice(len(support), size=(20_000, 4), p=probs)]
 lsmc = backward_induction_lsmc(traj, basis_degree=3)
 print(f"  LSMC estimate     = {lsmc.value:.6f} (+- {3 * lsmc.value_se:.6f})\n")
 

@@ -164,12 +164,11 @@ def verify_layer_concentration(spec: NetworkSpec,
     """
     layers = list(layers) if layers is not None else list(range(1, spec.depth + 1))
     pilot_n = pilot_n or n
-    # A default grid is read off the certificate, so certify before sampling.
-    intervals = propagate_intervals(spec) if t_grid is None else None
+    # Certify before sampling: a certificate that overflows fails before any
+    # draw, and a default grid is read off the certificate.
+    intervals = propagate_intervals(spec)
     pilot = simulate_layer_outputs(spec, pilot_n, seed, tag="pilot", map=map)
     sample = simulate_layer_outputs(spec, n, seed, tag="eval", map=map)
-    if intervals is None:
-        intervals = propagate_intervals(spec)
     reports = []
     for l in layers:
         center = pilot[l - 1].mean(axis=0)

@@ -341,8 +341,10 @@ def _run_classify(cfg: ExperimentConfig, out: _OutDir) -> int:
 
 
 def _lsmc_on_network(options) -> bool:
-    return options["method"] == "lsmc" and options["gamma"] is None \
-        and options["gamma_table"] is None
+    """Does select-layers simulate from the network?  ``options`` is the raw
+    section or the parsed one: absent keys read as the schema's defaults."""
+    return options.get("method", "deterministic") == "lsmc" \
+        and options.get("gamma") is None and options.get("gamma_table") is None
 
 
 def _run_select_layers(cfg: ExperimentConfig, out: _OutDir) -> int:
@@ -361,7 +363,7 @@ def _run_select_layers(cfg: ExperimentConfig, out: _OutDir) -> int:
                            np.genfromtxt(opts["gamma_table"], delimiter=",", dtype=float),
                            dtype=float)
         if opts["method"] == "deterministic":
-            sol = select_layers("deterministic", gamma=gamma.reshape(-1)[: opts["horizon"]])
+            sol = select_layers("deterministic", gamma=gamma, horizon=opts["horizon"])
         else:
             sol = select_layers("lsmc", gamma=np.atleast_2d(gamma), seed=cfg.seed,
                                 basis_degree=opts["basis_degree"])
@@ -484,7 +486,7 @@ _COMMANDS = {
         "penalty_c": _Opt("number > 0", lambda v, net: _number(v) and v > 0,
                           GammaSpec.penalty_c),
         "n_trajectories": _int(1, 10_000),
-    }, lambda section: False, _run_select_layers),
+    }, _lsmc_on_network, _run_select_layers),
     "regions": _Command({
         "sample": _Opt("object", {
             "count": _int(1, 100),

@@ -8,13 +8,14 @@ threshold vectors.  Layers evolve through the coupled pair recursion
     H' = A+ F + A- G + b
     F' = max(H', G' + t)
 
-with nu = F - G the layer output; ``forward_relu_direct`` implements the
-plain recursion nu' = max(A nu + b, t) and serves as the independent
-oracle for the pair form.  One sampler draws the parameters of a batch of
-networks; a single draw (``sample_network``) is a batch of one from it.
-The pair recursion serves single draws (``run_network``) and the fully
-symbolic (tropical polynomial) forward pass; batched Monte Carlo
-(``simulate_layer_outputs``) carries only nu through the direct
+with nu = F - G the layer output.  ``forward_relu_direct`` implements the
+plain recursion nu' = max(A nu + b, t) along any leading draw axes: it is
+both the Monte Carlo kernel and the independent oracle for the pair form.
+One sampler draws the parameters of a batch of networks as one
+``LayerSample`` per layer; a single draw (``sample_network``) is a batch
+of one from it.  The pair recursion serves single draws (``run_network``)
+and the fully symbolic (tropical polynomial) forward pass; batched Monte
+Carlo (``simulate_layer_outputs``) carries only nu through the direct
 recursion, on integer weights as drawn.  ``propagate_intervals``
 certifies a bound xi_l on every draw's layer output norm ||nu_l|| by
 interval arithmetic on the direct recursion, where F and G cancel.
@@ -172,13 +173,11 @@ class DistributionSpec:
         b = (self.hi - self.mu) / self.sigma
         return float(ndtr(-a) - ndtr(-b) if a > 0 else ndtr(b) - ndtr(a))
 
-    def bound_interval(self, dim: int | None = None):
+    def bound_interval(self, dim: int):
         """Elementwise (lo, hi) arrays; per coordinate for vector atoms."""
         if self.has_vector_atoms:
             atoms = np.array([v for v in self.values], dtype=float)
             return atoms.min(axis=0), atoms.max(axis=0)
-        if dim is None:
-            return self.lo, self.hi
         return np.full(dim, self.lo), np.full(dim, self.hi)
 
     # -- sampling ---------------------------------------------------------
@@ -202,10 +201,9 @@ class DistributionSpec:
                 * rng.standard_normal(size)
             return self._from_uniform(np.clip(ndtr(z), 1e-12, 1 - 1e-12), rng)
         if self.kind == "bounded-uniform-integer":
-            if dtype is not None:
-                return rng.integers(int(self.lo), int(self.hi), size=size,
-                                    endpoint=True, dtype=dtype)
-            return rng.integers(int(self.lo), int(self.hi) + 1, size=size).astype(float)
+            out = rng.integers(int(self.lo), int(self.hi), size=size, endpoint=True,
+                               dtype=dtype or np.int64)
+            return out if dtype is not None else out.astype(float)
         if self.kind == "bounded-uniform-real":
             return rng.uniform(self.lo, self.hi, size=size)
         if self.kind == "truncated-gaussian":
@@ -420,21 +418,25 @@ class NetworkSpec:
 
 @dataclass
 class LayerSample:
-    """Drawn parameters of one layer: A = A+ - A-, bias b, threshold t."""
+    """Drawn weights A, bias b and threshold t of one layer.
+
+    One draw has ``a`` of shape (n_out, n_in); a batch of draws adds a
+    leading axis to each field.  ``a`` keeps the dtype it was drawn in.
+    """
 
     a: np.ndarray
-    a_plus: np.ndarray
-    a_minus: np.ndarray
     b: np.ndarray
     t: np.ndarray
 
-    @classmethod
-    def from_weights(cls, a: np.ndarray, b: np.ndarray, t: np.ndarray) -> "LayerSample":
-        a = np.asarray(a, dtype=float)
-        if not np.all(a == np.round(a)):
-            raise SpecError("weight matrix must be integer-valued")
-        return cls(a=a, a_plus=np.maximum(a, 0.0), a_minus=np.maximum(-a, 0.0),
-                   b=np.asarray(b, dtype=float), t=np.asarray(t, dtype=float))
+    # The halves A = A+ - A- stay float: cast first, so that int8 -128
+    # negates exactly, and float products keep the pair recursion's bits.
+    @property
+    def a_plus(self) -> np.ndarray:
+        return np.maximum(np.asarray(self.a, dtype=float), 0.0)
+
+    @property
+    def a_minus(self) -> np.ndarray:
+        return np.maximum(-np.asarray(self.a, dtype=float), 0.0)
 
 
 @dataclass
@@ -511,7 +513,7 @@ def _draw_init(spec: NetworkSpec, rng, n: int, z_shared):
             yield c, alpha, c_g, alpha_g
 
 
-def _draw_layer(spec: NetworkSpec, layer: int, rng, n: int, z_shared):
+def _draw_layer(spec: NetworkSpec, layer: int, rng, n: int, z_shared) -> LayerSample:
     """Weights, bias and threshold of layer ``layer`` (1-based) for ``n`` draws.
 
     ``a`` has shape (n, n_out, n_in) in the dtype ``_batch_weight_dtype``
@@ -530,7 +532,7 @@ def _draw_layer(spec: NetworkSpec, layer: int, rng, n: int, z_shared):
         t = spec.threshold_dist.sample(rng, (n, n_out), zvec, rho)
     else:
         t = np.full((1, n_out), 0.0 if mode == "relu" else -np.inf)
-    return a, b, t
+    return LayerSample(a, b, t)
 
 
 def sample_network(spec: NetworkSpec, seed: int) -> NetworkSample:
@@ -547,13 +549,10 @@ def sample_network(spec: NetworkSpec, seed: int) -> NetworkSample:
         return TropicalPolynomial._from_arrays(alpha[0].astype(np.int64), c[0])
 
     init = list(_draw_init(spec, rng, 1, z_shared))
-    layers = []
-    for l in range(1, spec.depth + 1):
-        a, b, t = _draw_layer(spec, l, rng, 1, z_shared)
-        layers.append(LayerSample.from_weights(a[0], b[0], t[0]))
+    batches = [_draw_layer(spec, l, rng, 1, z_shared) for l in range(1, spec.depth + 1)]
     return NetworkSample(f0=tuple(poly(alpha, c) for c, alpha, _, _ in init),
                          g0=tuple(poly(alpha_g, c_g) for _, _, c_g, alpha_g in init),
-                         layers=tuple(layers))
+                         layers=tuple(LayerSample(s.a[0], s.b[0], s.t[0]) for s in batches))
 
 
 # ---------------------------------------------------------------------------
@@ -563,25 +562,31 @@ def sample_network(spec: NetworkSpec, seed: int) -> NetworkSample:
 def forward_fg(f: np.ndarray, g: np.ndarray, layer: LayerSample):
     """One step of the pair recursion; returns (F', G', H').
 
-    Inputs may be single vectors of width n_l or batches (..., n_l); the
-    layer applies along the last axis.
+    ``layer`` is one draw.  Inputs may be single vectors of width n_l or
+    batches (..., n_l); the layer applies along the last axis.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
-    if f.shape != g.shape or layer.a.shape[1] != f.shape[-1]:
+    if f.shape != g.shape or layer.a.ndim != 2 or layer.a.shape[1] != f.shape[-1]:
         raise SpecError("forward_fg dimension mismatch")
-    g_next = g @ layer.a_plus.T + f @ layer.a_minus.T
-    h_next = f @ layer.a_plus.T + g @ layer.a_minus.T + layer.b
+    a_plus, a_minus = layer.a_plus.T, layer.a_minus.T
+    g_next = g @ a_plus + f @ a_minus
+    h_next = f @ a_plus + g @ a_minus + layer.b
     f_next = np.maximum(h_next, g_next + layer.t)
     return f_next, g_next, h_next
 
 
 def forward_relu_direct(nu: np.ndarray, layer: LayerSample) -> np.ndarray:
-    """Plain recursion nu' = max(A nu + b, t); oracle for forward_fg."""
+    """Plain recursion nu' = max(A nu + b, t) along any leading draw axes.
+
+    The Monte Carlo kernel, and the oracle for ``forward_fg``.  ``layer``
+    is one draw or a batch of them; einsum casts an integer A in buffers,
+    so weights are never copied to float.
+    """
     nu = np.asarray(nu, dtype=float)
-    if layer.a.shape[1] != nu.shape[-1]:
+    if layer.a.shape[-1] != nu.shape[-1]:
         raise SpecError("forward_relu_direct dimension mismatch")
-    return np.maximum(nu @ layer.a.T + layer.b, layer.t)
+    return np.maximum(np.einsum("...ij,...j->...i", layer.a, nu) + layer.b, layer.t)
 
 
 def _as_input(spec: NetworkSpec, x) -> np.ndarray | None:
@@ -673,10 +678,8 @@ def _symbolic_layers(net: NetworkSample, cap: int):
         polys = list(g_prev) + list(f_prev)
         polys_swapped = list(f_prev) + list(g_prev)
         f_new, g_new = [], []
-        for i in range(layer.a.shape[0]):
-            w_plus = layer.a_plus[i].astype(int)
-            w_minus = layer.a_minus[i].astype(int)
-            weights = np.concatenate([w_plus, w_minus])
+        halves = np.hstack([layer.a_plus, layer.a_minus]).astype(int)
+        for i, weights in enumerate(halves):
             g_i = poly_weighted_combine(polys, weights, cap=cap)
             h_i = poly_weighted_combine(polys_swapped, weights, bias=layer.b[i], cap=cap)
             # An identity layer's threshold -inf is bottom: F = max(H, G + t) = H.
@@ -697,15 +700,6 @@ def _draw_inputs(spec: NetworkSpec, rng, n: int) -> np.ndarray:
     return rng.uniform(box[:, 0], box[:, 1], size=(n, spec.d))
 
 
-def _relu_step(nu: np.ndarray, a: np.ndarray, b, t) -> np.ndarray:
-    """Direct recursion nu' = max(A nu + b, t) with one A per draw.
-
-    ``a`` has shape (n, n_out, n_in) and any numeric dtype; einsum casts
-    it in buffers, so an integer ``a`` is never copied to float.
-    """
-    return np.maximum(np.einsum("nij,nj->ni", a, nu) + b, t)
-
-
 def _batch_block(spec: NetworkSpec, rng, n: int, x: np.ndarray | None):
     """Simulate ``n`` independent draws; returns per-layer nu arrays 1..L."""
     z_shared = rng.standard_normal(n) if spec.copula_rho != 0.0 else None
@@ -717,7 +711,7 @@ def _batch_block(spec: NetworkSpec, rng, n: int, x: np.ndarray | None):
     nus = []
     for l in range(1, spec.depth + 1):
         # One layer at a time: a wide block's weights are large.
-        nu = _relu_step(nu, *_draw_layer(spec, l, rng, n, z_shared))
+        nu = forward_relu_direct(nu, _draw_layer(spec, l, rng, n, z_shared))
         nus.append(nu)
     return nus
 

@@ -152,15 +152,6 @@ class FiniteSupportProcess:
         trans = tuple(np.array([[1.0]]) for _ in range(len(vals) - 1))
         return cls(values=vals, initial=np.array([1.0]), transitions=trans)
 
-    @classmethod
-    def iid(cls, support: Sequence[float], probs: Sequence[float],
-            horizon: int) -> "FiniteSupportProcess":
-        support = np.asarray(support, dtype=float)
-        probs = np.asarray(probs, dtype=float)
-        vals = tuple(support.copy() for _ in range(horizon))
-        trans = tuple(np.tile(probs, (len(support), 1)) for _ in range(horizon - 1))
-        return cls(values=vals, initial=probs, transitions=trans)
-
     def enumerate_paths(self):
         """All atom paths with their probabilities and utility sequences."""
         paths = [((k,), p) for k, p in enumerate(self.initial)]
@@ -173,21 +164,6 @@ class FiniteSupportProcess:
         gammas = np.array([[self.values[l][p[l]] for l in range(self.horizon)]
                            for p, _ in paths])
         return atoms, probs, gammas
-
-    def sample_trajectories(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n utility trajectories, shape (n, horizon)."""
-        out = np.empty((n, self.horizon))
-        state = rng.choice(len(self.initial), size=n, p=self.initial)
-        out[:, 0] = self.values[0][state]
-        for l, t in enumerate(self.transitions):
-            nxt = np.empty(n, dtype=int)
-            for j in range(t.shape[0]):
-                mask = state == j
-                if mask.any():
-                    nxt[mask] = rng.choice(t.shape[1], size=int(mask.sum()), p=t[j])
-            state = nxt
-            out[:, l + 1] = self.values[l + 1][state]
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -476,19 +452,25 @@ def simulate_gamma_trajectories(spec: NetworkSpec, gamma_spec: GammaSpec,
 def select_layers(method: str, *, gamma=None, process: FiniteSupportProcess = None,
                   network_spec: NetworkSpec = None, gamma_spec: GammaSpec = None,
                   y_star=None, n_trajectories: int = 10_000,
-                  basis_degree: int = 3, seed: int = 0) -> StoppingSolution:
+                  basis_degree: int = 3, seed: int = 0,
+                  horizon: int | None = None) -> StoppingSolution:
     """Select the network depth by the chosen induction method.
 
-    * "deterministic": ``gamma`` is the realized utility sequence, solved
-      by exact induction as a one-atom process.
+    * "deterministic": ``gamma`` is the realized utility sequence, a
+      vector or a table of one row or one column, cut to its first
+      ``horizon`` depths when given, and solved by exact induction as a
+      one-atom process.
     * "exact": backward induction on a finite-support ``process``.
     * "lsmc": least-squares Monte Carlo on ``gamma`` given as an
       (n, horizon) trajectory array, or on trajectories simulated from
       ``network_spec`` with common random numbers across depths.
     """
     if method == "deterministic":
-        process = FiniteSupportProcess.from_deterministic(
-            np.asarray(gamma, dtype=float).reshape(-1))
+        gamma = np.asarray(gamma, dtype=float)
+        if gamma.ndim > 2 or (gamma.ndim == 2 and 1 not in gamma.shape):
+            raise StoppingError(f"a deterministic profile is a vector or a table of "
+                                f"one row or one column, got shape {gamma.shape}")
+        process = FiniteSupportProcess.from_deterministic(gamma.reshape(-1)[:horizon])
         return replace(backward_induction_exact(process), method="deterministic")
     if method == "exact":
         if process is None:

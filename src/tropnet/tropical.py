@@ -76,6 +76,14 @@ def _scalar(a) -> float:
     return a
 
 
+def _below_top(coeff: np.ndarray) -> np.ndarray:
+    """``coeff`` unless a coefficient overflowed to +inf, or to NaN where
+    +inf met bottom: neither is a tropical scalar."""
+    if not np.max(coeff) < np.inf:
+        raise TropicalError("coefficients overflow past the double range")
+    return coeff
+
+
 def _normalise(alpha: np.ndarray, coeff: np.ndarray):
     """Canonical rows of a polynomial given as exponent rows and coefficients.
 
@@ -182,7 +190,7 @@ class TropicalPolynomial:
         top = int(self._alpha.max()) * w
         if top > _MAX_EXPONENT:
             raise TropicalError(f"exponents reach {top}, past the int64 range")
-        return self._from_arrays(self._alpha * w, self._coeff * w)
+        return self._from_arrays(self._alpha * w, _below_top(self._coeff * w))
 
     def shift(self, c: float) -> "TropicalPolynomial":
         """Multiply by the scalar c (add c to every coefficient)."""
@@ -190,8 +198,8 @@ class TropicalPolynomial:
         if c == BOTTOM:
             return constant_polynomial(self.dim, BOTTOM)
         coeff = self._coeff + c
-        if not (coeff > -np.inf).all():  # c + c_i overflowed to bottom
-            return self._from_arrays(self._alpha, coeff)
+        if not np.isfinite(coeff).all():  # c + c_i overflowed
+            return self._from_arrays(self._alpha, _below_top(coeff))
         # Otherwise a finite shift keeps the rows' order.
         return self._trusted(self._alpha, coeff)
 
@@ -330,10 +338,12 @@ def _minkowski_fold(alpha: np.ndarray, coeff: np.ndarray, factors,
         presorted = len(coeff) == 1 or p.num_monomials == 1
         keys = (keys[:, :, None] + pack(p._alpha)[:, None, :] * w).reshape(len(keys), -1)
         coeff = (coeff[:, None] + p._coeff * w).ravel()
-        # Bottom rows (a bottom factor, or a sum that overflowed) are
-        # dropped unless every row is bottom, as ``_normalise`` does.
-        live = coeff > -np.inf
+        # Bottom rows (a bottom factor, or a sum that overflowed to -inf) are
+        # dropped unless every row is bottom, as ``_normalise`` does; a sum
+        # past +inf is an error.
+        live = np.isfinite(coeff)
         if not live.all():
+            _below_top(coeff)
             keys, coeff = keys[:, live], coeff[live]
         if not len(coeff):
             keys, coeff = np.zeros((len(keys), 1), dtype=np.uint64), np.array([-np.inf])

@@ -42,7 +42,11 @@ from tropnet.stopping import (
 )
 from tropnet.tropical import TropicalPolynomial, count_linear_regions
 
-from finite_support import induction_stop_stages, random_finite_support_process
+from finite_support import (
+    induction_stop_stages,
+    random_finite_support_process,
+    sample_trajectories,
+)
 
 
 def _verdict(name: str, ok: bool, detail: str = ""):
@@ -169,7 +173,7 @@ def test_06_lsmc_consistency():
     worst_rel = 0.0
     for i, process in enumerate(_stopping_instances()):
         exact = backward_induction_exact(process)
-        traj = process.sample_trajectories(10_000, stream(i, "accept-lsmc"))
+        traj = sample_trajectories(process, 10_000, stream(i, "accept-lsmc"))
         sol = backward_induction_lsmc(traj, basis_degree=3)
         worst_rel = max(worst_rel, abs(sol.value - exact.value) / exact.value)
     elapsed = time.time() - t0

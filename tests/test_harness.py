@@ -98,6 +98,12 @@ def with_network(**changes):
     return {"network": net}
 
 
+#: Bias windows of +-8e307: valid laws whose layer outputs overflow.
+OVERFLOWING_BIAS = {"widths": [2, 3, 3, 1], "r": 2, "thresholds": ["relu", "relu", "identity"],
+                    "weight_dist": {"kind": "bounded-uniform-integer", "lo": -3, "hi": 3},
+                    "bias_dist": {"kind": "bounded-uniform-real", "lo": -8e307, "hi": 8e307}}
+
+
 INVALID_CONFIGS = {
     "fractional-exponent": ("regions", {"regions": {"polynomial": {
         "d": 1, "monomials": [{"c": 0.0, "alpha": [1.5]}, {"c": 0.0, "alpha": [0]}]}}},
@@ -132,22 +138,16 @@ INVALID_CONFIGS = {
         "wider than double precision"),
     # Accepted by the validator, but the layer outputs overflow: a typed
     # error, not a report with NaN in it.
-    "nonfinite-layer-outputs": ("bounds", {
-        "network": {"widths": [2, 3, 3, 1], "r": 2,
-                    "thresholds": ["relu", "relu", "identity"],
-                    "weight_dist": {"kind": "bounded-uniform-integer", "lo": -3, "hi": 3},
-                    "bias_dist": {"kind": "bounded-uniform-real",
-                                  "lo": -8e307, "hi": 8e307}},
-        "bounds": {"n": 1000, "t_grid": [1.0]}}, "SpecError: layer 2 outputs are not finite"),
-    # Without a t_grid the default grid reads the interval certificate,
-    # which overflows first.
-    "nonfinite-intervals": ("bounds", {
-        "network": {"widths": [2, 3, 3, 1], "r": 2,
-                    "thresholds": ["relu", "relu", "identity"],
-                    "weight_dist": {"kind": "bounded-uniform-integer", "lo": -3, "hi": 3},
-                    "bias_dist": {"kind": "bounded-uniform-real",
-                                  "lo": -8e307, "hi": 8e307}},
-        "bounds": {"n": 1000}}, "SpecError: layer 1 intervals are not finite"),
+    "nonfinite-layer-outputs": ("classify", {
+        "network": OVERFLOWING_BIAS, "classify": {"n": 1000, "inputs": [[0.0, 0.0]]}},
+        "SpecError: layer 2 outputs are not finite"),
+    # bounds certifies before it draws, with or without a t_grid, and the
+    # interval certificate overflows first.
+    "nonfinite-intervals": ("bounds", {"network": OVERFLOWING_BIAS, "bounds": {"n": 1000}},
+                            "SpecError: layer 1 intervals are not finite"),
+    "nonfinite-intervals-with-grid": ("bounds", {
+        "network": OVERFLOWING_BIAS, "bounds": {"n": 1000, "t_grid": [1.0]}},
+        "SpecError: layer 1 intervals are not finite"),
     # Options of the right shape but the wrong type or range: each names its
     # field instead of ending in a traceback or an unnamed error.
     "mgale-dim-zero": ("mgale-check", {"mgale_check": {"dim": 0}},
@@ -177,6 +177,8 @@ INVALID_CONFIGS = {
                                                                last_identity=True),
                                        "regions": {"sample": {"count": 0}}},
                            "config.regions.sample.count"),
+    "select-layers-lsmc-without-network": ("select-layers", {"select_layers": {
+        "method": "lsmc", "horizon": 3, "y_star": [1.0]}}, "config.network"),
     "process-without-initial": ("select-layers", {"select_layers": {
         "method": "exact", "process": {"values": [[1.0]]}}},
         "config.select_layers.process.initial"),
@@ -757,3 +759,14 @@ class TestCliSelectLayers:
         assert code == EXIT_OK
         sel = json.loads((out / "selection.json").read_text())
         assert sel["tau"] == 2  # 3.0 is the suffix max once 5.0 is cut off
+
+    def test_table_of_rows_and_columns_is_an_error(self, tmp_path, capsys):
+        # Flattened, the 2x3 table would select tau = 6 of a 3-depth problem.
+        table = tmp_path / "gamma.csv"
+        table.write_text("1,2,3\n4,5,6\n")
+        out = tmp_path / "out"
+        code = main(["select-layers", "--method", "deterministic",
+                     "--gamma-table", str(table), "--json-errors", "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert json.loads(capsys.readouterr().out)["error"].startswith("StoppingError: ")
+        assert not (out / "selection.json").exists()

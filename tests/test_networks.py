@@ -21,7 +21,6 @@ from tropnet.networks import (
     NetworkSpec,
     SpecError,
     _batch_weight_dtype,
-    _relu_step,
     degenerate,
     forward_fg,
     forward_relu_direct,
@@ -181,8 +180,19 @@ class TestSampleLayer:
         assert layer.a_plus[0, 0] == 1.0 and layer.a_minus[0, 0] == 0.0
 
     def test_negative_entry_split(self):
-        layer = LayerSample.from_weights(np.array([[-3.0]]), np.zeros(1), np.zeros(1))
+        layer = LayerSample(np.array([[-3.0]]), np.zeros(1), np.zeros(1))
         assert layer.a_plus[0, 0] == 0.0 and layer.a_minus[0, 0] == 3.0
+
+    def test_int8_bottom_splits_exactly(self):
+        # -(-128) does not fit int8; the halves cast to float first.
+        spec = NetworkSpec(widths=(8, 8), weight_dist=uniform_int(-128, 127))
+        layer = next(layer for seed in range(100)
+                     for layer in sample_network(spec, seed).layers
+                     if (layer.a == -128).any())
+        assert layer.a.dtype == np.int8
+        low = layer.a == -128
+        assert np.all(layer.a_minus[low] == 128.0) and np.all(layer.a_plus[low] == 0.0)
+        np.testing.assert_array_equal(layer.a_plus - layer.a_minus, layer.a)
 
     def test_decomposition_identity_over_support(self):
         spec = NetworkSpec(widths=(4, 4), weight_dist=uniform_int(-3, 3),
@@ -198,8 +208,6 @@ class TestSampleLayer:
     def test_non_integer_weights_rejected(self):
         with pytest.raises(SpecError):
             NetworkSpec(widths=(1, 1), weight_dist=uniform_real(0, 1))
-        with pytest.raises(SpecError):
-            LayerSample.from_weights(np.array([[0.5]]), np.zeros(1), np.zeros(1))
 
     @pytest.mark.parametrize("field, layers", [
         ("weight_overrides", (0,)), ("weight_overrides", (3,)),
@@ -231,7 +239,7 @@ class TestSampleLayer:
 
 class TestForward:
     def relu_layer(self):
-        return LayerSample.from_weights(np.array([[1.0]]), np.zeros(1), np.zeros(1))
+        return LayerSample(np.array([[1.0]]), np.zeros(1), np.zeros(1))
 
     def test_relu_kills_negative_input(self):
         f, g, h = forward_fg(np.array([-2.0]), np.array([0.0]), self.relu_layer())
@@ -242,13 +250,12 @@ class TestForward:
         assert (f - g)[0] == 3.0
 
     def test_direct_coordinatewise(self):
-        layer = LayerSample.from_weights(np.eye(2), np.zeros(2), np.zeros(2))
+        layer = LayerSample(np.eye(2), np.zeros(2), np.zeros(2))
         np.testing.assert_array_equal(forward_relu_direct(np.array([-1.0, 2.0]), layer),
                                       [0.0, 2.0])
 
     def test_identity_threshold(self):
-        layer = LayerSample.from_weights(np.array([[2.0]]), np.array([0.5]),
-                                         np.array([-np.inf]))
+        layer = LayerSample(np.array([[2.0]]), np.array([0.5]), np.array([-np.inf]))
         assert forward_relu_direct(np.array([-4.0]), layer)[0] == -7.5
 
     def test_dimension_mismatch(self):
@@ -256,6 +263,12 @@ class TestForward:
             forward_fg(np.zeros(2), np.zeros(3), self.relu_layer())
         with pytest.raises(SpecError):
             forward_relu_direct(np.zeros(2), self.relu_layer())
+
+    def test_pair_step_takes_one_draw(self):
+        batch = LayerSample(np.ones((3, 1, 1), dtype=np.int8), np.zeros((3, 1)),
+                            np.zeros((1, 1)))
+        with pytest.raises(SpecError):
+            forward_fg(np.zeros(1), np.zeros(1), batch)
 
     def test_pair_recursion_matches_direct_oracle(self):
         rng = np.random.default_rng(14)
@@ -480,10 +493,9 @@ class TestBatchedSimulation:
         f = rng.uniform(-2, 2, size=(n, n_in))
         g = rng.uniform(-2, 2, size=(n, n_in))
         t = rng.uniform(-1, 1, size=(n, n_out))
-        direct = _relu_step(f - g, a, b, t)
+        direct = forward_relu_direct(f - g, LayerSample(a, b, t))
         for k in range(n):
-            layer = LayerSample.from_weights(a[k], b[k], t[k])
-            f_next, g_next, _ = forward_fg(f[k], g[k], layer)
+            f_next, g_next, _ = forward_fg(f[k], g[k], LayerSample(a[k], b[k], t[k]))
             np.testing.assert_allclose(direct[k], f_next - g_next, rtol=1e-12, atol=1e-12)
 
     def test_weight_dtype_follows_the_law(self):
@@ -545,7 +557,7 @@ class TestIntervals:
         nu, norms = np.full(2, 6.0), [6 * np.sqrt(2)]
         for l in range(1, spec.depth + 1):
             n_out, n_in = spec.widths[l], spec.widths[l - 1]
-            nu = forward_relu_direct(nu, LayerSample.from_weights(
+            nu = forward_relu_direct(nu, LayerSample(
                 np.full((n_out, n_in), 2.0), np.full(n_out, spec.bias_dist_for(l).hi),
                 np.zeros(n_out)))
             norms.append(np.linalg.norm(nu))

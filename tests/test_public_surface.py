@@ -1,11 +1,12 @@
 """Every public name of the package has a caller outside the tests and demos.
 
 A public name is one the package exports or a module-level ``def`` or
-``class`` without a leading underscore in ``src/tropnet/*.py``.  A caller
-is the package itself, the benchmark under ``perfbench/`` or the README;
-a demo only shows what the package does, so it does not count.  A public
-name whose only callers are its own test and the demos is surface without
-a user: it should be deleted, or its test moved onto live code.
+``class`` without a leading underscore in ``src/tropnet/*.py``; so is a
+method or property of a public class without a leading underscore.  A
+caller is the package itself, the benchmark under ``perfbench/`` or the
+README; a demo only shows what the package does, so it does not count.  A
+public name whose only callers are its own test and the demos is surface
+without a user: it should be deleted, or its test moved onto live code.
 """
 
 import ast
@@ -29,22 +30,32 @@ def defined_names() -> list[str]:
             if isinstance(node, kinds) and not node.name.startswith("_")]
 
 
+def defined_members() -> list[tuple[str, str]]:
+    """(class, member) of each public method and property of a public class."""
+    return [(node.name, member.name) for path in PACKAGE.glob("*.py")
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for member in node.body
+            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")]
+
+
 #: Public names kept without a caller: the oracle that checks backward
 #: induction, and the fixture network of the tests.
 EXEMPT = ("exhaustive_stopping_oracle", "reference_spec")
 
 
-def has_caller(name: str) -> bool:
+def has_caller(name: str, member: bool = False) -> bool:
+    """Does code outside the tests use ``name``, or the README name it?  A
+    member is used when code reads it as an attribute, ``.name``."""
     word = re.compile(rf"\b{re.escape(name)}\b")
+    use = re.compile(rf"\.{re.escape(name)}\b") if member else word
     definition = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
-    for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        if any(word.search(line) and not definition.match(line)
-               for line in path.read_text().splitlines()):
-            return True
-    others = [*(ROOT / "perfbench").rglob("*.py"), ROOT / "README.md"]
-    return any(word.search(path.read_text()) for path in others)
+    code = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    code += (ROOT / "perfbench").rglob("*.py")
+    if any(use.search(line) and not definition.match(line)
+           for path in code for line in path.read_text().splitlines()):
+        return True
+    return bool(word.search((ROOT / "README.md").read_text()))
 
 
 def test_every_export_has_a_caller_outside_the_tests():
@@ -53,3 +64,11 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert set(EXEMPT) <= names
     orphans = sorted(n for n in names - set(EXEMPT) if not has_caller(n))
     assert not orphans, f"public names used only by tests and demos: {orphans}"
+
+
+def test_every_public_member_has_a_caller_outside_the_tests():
+    members = defined_members()
+    assert ("LayerSample", "a_plus") in members
+    orphans = sorted(f"{cls}.{name}" for cls, name in members
+                     if not has_caller(name, member=True))
+    assert not orphans, f"public members used only by tests and demos: {orphans}"

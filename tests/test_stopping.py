@@ -23,7 +23,9 @@ from tropnet.stopping import (
 
 from finite_support import (
     induction_stop_stages,
+    iid_process,
     random_finite_support_process,
+    sample_trajectories,
     stopped_envelope_means,
 )
 
@@ -91,7 +93,7 @@ class TestExactInduction:
         assert sol.value == 5.0 and sol.tau == 1
 
     def test_iid_two_point_matches_enumeration(self):
-        process = FiniteSupportProcess.iid([0.0, 1.0], [0.5, 0.5], horizon=4)
+        process = iid_process([0.0, 1.0], [0.5, 0.5], horizon=4)
         sol = backward_induction_exact(process)
         oracle = exhaustive_stopping_oracle(process)
         assert sol.value == pytest.approx(oracle.value, abs=1e-12)
@@ -113,7 +115,7 @@ class TestExactInduction:
     def test_negative_utilities_every_path_stops(self):
         # At the horizon S = gamma < 0; the rule must still stop there.
         sol = backward_induction_exact(
-            FiniteSupportProcess.iid([-1.0, -3.0], [0.5, 0.5], 3))
+            iid_process([-1.0, -3.0], [0.5, 0.5], 3))
         assert sum(p for _, p in sol.tau_distribution) == pytest.approx(1.0)
         assert 1 <= sol.tau_mean <= 3
 
@@ -144,7 +146,7 @@ class TestExactInduction:
 
 class TestOracle:
     def test_horizon_one(self):
-        process = FiniteSupportProcess.iid([0.3, 0.9], [0.4, 0.6], horizon=1)
+        process = iid_process([0.3, 0.9], [0.4, 0.6], horizon=1)
         oracle = exhaustive_stopping_oracle(process)
         assert oracle.value == pytest.approx(0.3 * 0.4 + 0.9 * 0.6, abs=1e-15)
 
@@ -168,7 +170,7 @@ class TestOracle:
             np.testing.assert_array_equal(stages, oracle.earliest_profile)
 
     def test_state_explosion_guard(self):
-        process = FiniteSupportProcess.iid([0.0, 1.0], [0.5, 0.5], horizon=8)
+        process = iid_process([0.0, 1.0], [0.5, 0.5], horizon=8)
         with pytest.raises(StateExplosionError):
             exhaustive_stopping_oracle(process)
 
@@ -184,9 +186,9 @@ class TestLSMC:
         assert sol.tau_mean == exact.tau
 
     def test_two_point_value_within_two_percent(self):
-        process = FiniteSupportProcess.iid([0.0, 1.0], [0.5, 0.5], horizon=4)
+        process = iid_process([0.0, 1.0], [0.5, 0.5], horizon=4)
         exact = backward_induction_exact(process)
-        traj = process.sample_trajectories(10_000, stream(1, "lsmc"))
+        traj = sample_trajectories(process, 10_000, stream(1, "lsmc"))
         sol = backward_induction_lsmc(traj, basis_degree=3)
         assert abs(sol.value - exact.value) <= 0.02 * exact.value
 
@@ -194,7 +196,7 @@ class TestLSMC:
         for seed in range(10):
             process = random_finite_support_process(400 + seed, horizon=5, support=3)
             exact = backward_induction_exact(process)
-            traj = process.sample_trajectories(8000, stream(seed, "lsmc2"))
+            traj = sample_trajectories(process, 8000, stream(seed, "lsmc2"))
             sol = backward_induction_lsmc(traj, basis_degree=3)
             assert sol.value <= exact.value + 3 * sol.value_se
 
@@ -217,6 +219,14 @@ class TestSelectLayers:
         # direct integer comparison around the peak
         assert np.log(7) / np.sqrt(7) > np.log(8) / np.sqrt(8)
         assert np.log(7) / np.sqrt(7) > np.log(6) / np.sqrt(6)
+
+    def test_deterministic_table_has_one_row_or_column(self):
+        table = np.arange(1.0, 7.0).reshape(2, 3)
+        with pytest.raises(StoppingError, match="one row or one column"):
+            select_layers("deterministic", gamma=table)
+        # An increasing profile is stopped at its last depth.
+        assert select_layers("deterministic", gamma=table[:1]).tau == 3
+        assert select_layers("deterministic", gamma=table[:, :1]).tau == 2
 
     def test_constant_gamma_stops_immediately(self):
         sol = select_layers("deterministic", gamma=np.ones(25))

@@ -485,6 +485,17 @@ class TestMinkowskiFold:
         edge = poly_mul(top, poly((0.0, (2 ** 62 - 1, 5))))
         assert rows_of(edge) == [((2 ** 63 - 1, 5), 0.0)]
 
+    def test_coefficient_overflow_to_top_is_an_error(self):
+        # +inf is not a tropical scalar.  Where it meets a bottom row the sum
+        # is NaN, which the fold's live mask would drop without a word.
+        f = TropicalPolynomial([[1]], [1e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for op in (lambda: f.scale(10), lambda: f.shift(1e308), lambda: poly_mul(f, f),
+                       lambda: poly_weighted_combine([f], [3]),
+                       lambda: poly_weighted_combine([f], [3], bias=BOTTOM)):
+                with pytest.raises(TropicalError, match="overflow"):
+                    op()
+
 
 class TestRegions:
     def test_relu_has_two_regions(self):
