@@ -35,7 +35,7 @@ show("3 (+) 5      =", poly_add(const(3), const(5)))
 show("3 (*) 5      =", poly_mul(const(3), const(5)))
 show("bottom (+) 4 =", poly_add(const(BOTTOM), const(4)))
 show("bottom (*) 4 =", poly_mul(const(BOTTOM), const(4)))
-show("2^(*3)       =", const(2).scale(3))
+show("2^(*3)       =", poly_weighted_combine([const(2)], [3]))
 
 # --- polynomials -----------------------------------------------------------
 # A polynomial is one exponent row and one coefficient per monomial

@@ -382,8 +382,9 @@ def _symbolic_region_count(network, seed, cap):
 def _run_regions(cfg: ExperimentConfig, out: _OutDir) -> int:
     poly, sample = cfg.options["polynomial"], cfg.options["sample"]
     if poly is not None:
-        exact = count_linear_regions(poly, method="exact-lp")
+        # The grid oracle refuses d > 2 before any LP runs.
         grid = count_linear_regions(poly, method="grid-oracle")
+        exact = count_linear_regions(poly, method="exact-lp")
         out.write_csv("regions.csv", ["method", "count", "dim"],
                       [["exact-lp", exact.count, exact.dim],
                        ["grid-oracle", grid.count, grid.dim]])
@@ -485,7 +486,7 @@ _COMMANDS = {
         "basis_degree": _int(1, 3),
         "penalty_c": _Opt("number > 0", lambda v, net: _number(v) and v > 0,
                           GammaSpec.penalty_c),
-        "n_trajectories": _int(1, 10_000),
+        "n_trajectories": _int(1000, 10_000),
     }, _lsmc_on_network, _run_select_layers),
     "regions": _Command({
         "sample": _Opt("object", {

@@ -545,13 +545,12 @@ def sample_network(spec: NetworkSpec, seed: int) -> NetworkSample:
     rng = stream(seed, "network")
     z_shared = rng.standard_normal(1) if spec.copula_rho != 0.0 else None
 
-    def poly(alpha, c):
-        return TropicalPolynomial._from_arrays(alpha[0].astype(np.int64), c[0])
-
     init = list(_draw_init(spec, rng, 1, z_shared))
     batches = [_draw_layer(spec, l, rng, 1, z_shared) for l in range(1, spec.depth + 1)]
-    return NetworkSample(f0=tuple(poly(alpha, c) for c, alpha, _, _ in init),
-                         g0=tuple(poly(alpha_g, c_g) for _, _, c_g, alpha_g in init),
+    return NetworkSample(f0=tuple(TropicalPolynomial(alpha[0], c[0])
+                                  for c, alpha, _, _ in init),
+                         g0=tuple(TropicalPolynomial(alpha_g[0], c_g[0])
+                                  for _, _, c_g, alpha_g in init),
                          layers=tuple(LayerSample(s.a[0], s.b[0], s.t[0]) for s in batches))
 
 

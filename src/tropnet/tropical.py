@@ -11,16 +11,16 @@ A tropical polynomial is a finite max of affine monomials
 c + alpha · x with nonnegative integer slope vectors alpha; distinct
 monomials always carry distinct slope vectors.  It is stored as two
 arrays, an int64 exponent matrix (one row per monomial) and a float
-coefficient vector with -inf for bottom, whose rows one lexsort keeps
-sorted by exponent and free of repeats.  ``TropicalPolynomial(alpha,
-coeff)`` checks and normalises such arrays.  A network's output is the
+coefficient vector with -inf for bottom, whose rows one routine,
+``_merge``, keeps sorted by exponent and free of repeats in every
+producer.  ``TropicalPolynomial(alpha, coeff)`` checks such arrays.  A network's output is the
 difference f - g of two such polynomials.
 
 Products are one sorted-key Minkowski fold (``_minkowski_fold``): the
 exponent rows are packed into uint64 keys in a mixed radix sized by the
 product's degree bound, so each factor is one broadcast add of keys and
-coefficients, one sort of the keys and a max over each run of equal keys,
-and the rows are unpacked once at the end.  ``poly_mul`` is its two-factor case and
+coefficients and one ``_merge`` of the keys, and the rows are unpacked
+once at the end.  ``poly_mul`` is its two-factor case and
 ``poly_weighted_combine`` folds every weighted factor from the bias row.
 An exponent past the int64 range is a ``TropicalError``.
 
@@ -34,6 +34,7 @@ oracles for that count.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,46 +77,55 @@ def _scalar(a) -> float:
     return a
 
 
-def _below_top(coeff: np.ndarray) -> np.ndarray:
-    """``coeff`` unless a coefficient overflowed to +inf, or to NaN where
-    +inf met bottom: neither is a tropical scalar."""
-    if not np.max(coeff) < np.inf:
-        raise TropicalError("coefficients overflow past the double range")
-    return coeff
+def _merge(cols: np.ndarray, coeff: np.ndarray, presorted: bool = False):
+    """Canonical form of rows given as integer columns (one column per row,
+    compared lexicographically) and coefficients: bottom rows dropped unless
+    every row is bottom, which leaves one bottom row at zero; columns sorted;
+    a repeated column keeps its largest coefficient, of equal ones the first
+    row's.  ``presorted`` columns are already ascending and distinct.  +inf
+    or NaN is a ``TropicalError``."""
+    live = np.isfinite(coeff)
+    if not live.all():
+        # +inf, or NaN where +inf met bottom, is not a tropical scalar.
+        if not np.max(coeff) < np.inf:
+            raise TropicalError("coefficients overflow past the double range")
+        cols, coeff = cols[:, live], coeff[live]
+        if not len(coeff):
+            return np.zeros((len(cols), 1), dtype=cols.dtype), np.array([-np.inf])
+    if presorted:
+        return cols, coeff
+    # lexsort is stable, and its last key is the primary one.
+    order = np.lexsort(cols[::-1])
+    cols, coeff = cols[:, order], coeff[order]
+    first = np.ones(len(coeff), dtype=bool)
+    first[1:] = (cols[:, 1:] != cols[:, :-1]).any(axis=0)
+    starts = np.nonzero(first)[0]
+    best = np.maximum.reduceat(coeff, starts)
+    if not best.all():
+        # Which of 0.0 and -0.0 np.maximum returns depends on its vector
+        # loop: a zero maximum takes the sign of the first zero of its run.
+        zero = np.nonzero(coeff == 0)[0]
+        run = np.cumsum(first)[zero] - 1
+        hit = np.r_[True, run[1:] != run[:-1]] & (best[run] == 0)
+        best[run[hit]] = coeff[zero[hit]]
+    return cols[:, starts], best
 
 
 def _normalise(alpha: np.ndarray, coeff: np.ndarray):
-    """Canonical rows of a polynomial given as exponent rows and coefficients.
-
-    Rows are sorted by exponent; a repeated exponent keeps its largest
-    coefficient (the max of identical affine parts is governed by the larger
-    constant); bottom rows are dropped unless every row is bottom, which
-    leaves one bottom row at the zero exponent.
-    """
-    alpha = np.asarray(alpha, dtype=np.int64)
-    coeff = np.asarray(coeff, dtype=float)
-    live = coeff > -np.inf
-    if not live.any():
-        return np.zeros((1, alpha.shape[1]), dtype=np.int64), np.array([-np.inf])
-    if not live.all():
-        alpha, coeff = alpha[live], coeff[live]
-    # lexsort's last key is the primary one: exponents first, larger c first.
-    order = np.lexsort((-coeff, *alpha.T[::-1]))
-    alpha, coeff = alpha[order], coeff[order]
-    first = np.ones(len(coeff), dtype=bool)
-    first[1:] = (alpha[1:] != alpha[:-1]).any(axis=1)
-    return alpha[first], coeff[first]
+    """``_merge`` of int64 exponent rows and float coefficients."""
+    cols, coeff = _merge(alpha.T, coeff)
+    return np.ascontiguousarray(cols.T), coeff
 
 
 class TropicalPolynomial:
     """Finite tropical sum (max) of monomials c + alpha · x over a common dimension.
 
     ``TropicalPolynomial(alpha, coeff)`` takes an (r, d) array of
-    nonnegative integer exponents with r >= 1 and r coefficients, each a
+    nonnegative integer exponents with r, d >= 1 and r coefficients, each a
     real or BOTTOM (-inf).  It is stored as an int64 exponent matrix
     ``_alpha`` and a float coefficient vector ``_coeff``, normalised by
-    ``_normalise``: rows sorted by exponent, distinct exponents, and no
-    bottom row unless the polynomial is bottom.
+    ``_merge``: rows sorted by exponent, distinct exponents, and no bottom
+    row unless the polynomial is bottom.
     """
 
     __slots__ = ("_alpha", "_coeff")
@@ -125,10 +135,10 @@ class TropicalPolynomial:
             alpha = np.asarray(alpha)
             exps = alpha.astype(float)
             coeff = np.asarray(coeff, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise TropicalError(f"monomial rows must be numeric: {exc}") from exc
-        if alpha.ndim != 2 or alpha.shape[0] == 0 or coeff.shape != alpha.shape[:1]:
-            raise TropicalError(f"need an (r, d) exponent array with r >= 1 and r "
+        if alpha.ndim != 2 or 0 in alpha.shape or coeff.shape != alpha.shape[:1]:
+            raise TropicalError(f"need an (r, d) exponent array with r, d >= 1 and r "
                                 f"coefficients, got shapes {alpha.shape} and {coeff.shape}")
         if not ((exps >= 0) & (exps == np.floor(exps)) & (exps < 2.0 ** 63)).all():
             raise TropicalError("monomial exponents must be nonnegative integers")
@@ -137,12 +147,6 @@ class TropicalPolynomial:
         # Integer input converts exactly; floats are exact only up to 2**53.
         exact = alpha if alpha.dtype.kind in "iu" else exps
         self._alpha, self._coeff = _normalise(exact.astype(np.int64), coeff)
-
-    @classmethod
-    def _from_arrays(cls, alpha: np.ndarray, coeff: np.ndarray) -> "TropicalPolynomial":
-        """Polynomial with rows (alpha_i, coeff_i), trusted nonnegative and
-        finite or -inf, normalised as the public constructor does."""
-        return cls._trusted(*_normalise(alpha, coeff))
 
     @classmethod
     def _trusted(cls, alpha: np.ndarray, coeff: np.ndarray) -> "TropicalPolynomial":
@@ -180,18 +184,6 @@ class TropicalPolynomial:
             raise TropicalError(f"points have dimension {points.shape[1]}, expected {self.dim}")
         return np.max(points @ self._alpha.astype(float).T + self._coeff, axis=1)
 
-    def scale(self, w: int) -> "TropicalPolynomial":
-        """Tropical power f^{⊙w} for integer w >= 0; scales every monomial."""
-        w = int(w)
-        if w < 0:
-            raise TropicalError("tropical powers of polynomials need nonnegative weights")
-        if w == 0:
-            return constant_polynomial(self.dim, ZERO)
-        top = int(self._alpha.max()) * w
-        if top > _MAX_EXPONENT:
-            raise TropicalError(f"exponents reach {top}, past the int64 range")
-        return self._from_arrays(self._alpha * w, _below_top(self._coeff * w))
-
     def shift(self, c: float) -> "TropicalPolynomial":
         """Multiply by the scalar c (add c to every coefficient)."""
         c = _scalar(c)
@@ -199,7 +191,7 @@ class TropicalPolynomial:
             return constant_polynomial(self.dim, BOTTOM)
         coeff = self._coeff + c
         if not np.isfinite(coeff).all():  # c + c_i overflowed
-            return self._from_arrays(self._alpha, _below_top(coeff))
+            return self._trusted(*_normalise(self._alpha, coeff))
         # Otherwise a finite shift keeps the rows' order.
         return self._trusted(self._alpha, coeff)
 
@@ -223,16 +215,16 @@ class TropicalPolynomial:
 
 
 def constant_polynomial(dim: int, c: float) -> TropicalPolynomial:
-    return TropicalPolynomial._from_arrays(np.zeros((1, dim), dtype=np.int64),
-                                           np.array([_scalar(c)]))
+    return TropicalPolynomial._trusted(np.zeros((1, dim), dtype=np.int64),
+                                       np.array([_scalar(c)]))
 
 
 def poly_add(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPolynomial:
     """Tropical sum f ⊕ g: union of monomials with coefficient merging."""
     if f.dim != g.dim:
         raise TropicalError("cannot add polynomials of different dimension")
-    return TropicalPolynomial._from_arrays(np.concatenate([f._alpha, g._alpha]),
-                                           np.concatenate([f._coeff, g._coeff]))
+    return TropicalPolynomial._trusted(*_normalise(np.concatenate([f._alpha, g._alpha]),
+                                                   np.concatenate([f._coeff, g._coeff])))
 
 
 def poly_mul(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPolynomial:
@@ -255,18 +247,26 @@ def poly_weighted_combine(polys: Sequence[TropicalPolynomial],
 
     Returns the polynomial whose evaluation equals
     sum_j weights[j] * polys[j](x) + bias at every x.  Weights must be
-    nonnegative integers; a zero weight contributes the multiplicative
-    identity.  One ``_minkowski_fold`` from the bias row multiplies in
-    polys[j]^{⊙weights[j]} for each nonzero weight, in order.  After each
-    factor, a product of more than ``cap`` monomials is pruned, and
-    ``MonomialCapError`` is raised if it is still over.
+    nonnegative integral values (2 or 2.0, not 2.5); a zero weight
+    contributes the multiplicative identity.  One ``_minkowski_fold`` from
+    the bias row multiplies in polys[j]^{⊙weights[j]} for each nonzero
+    weight, in order.  After each factor, a product of more than ``cap``
+    monomials is pruned, and ``MonomialCapError`` is raised if it is still
+    over.
     """
     polys = list(polys)
     if not polys:
         raise TropicalError("poly_weighted_combine needs at least one polynomial")
-    weights = [int(w) for w in weights]
+    weights = list(weights)
     if len(weights) != len(polys):
         raise TropicalError("weights and polynomials must align")
+    try:
+        integral = [int(w) for w in weights]
+    except (TypeError, ValueError, OverflowError):  # None, NaN, inf
+        integral = None
+    if integral != weights:  # 2.0 passes, 2.5 and "2" do not
+        raise TropicalError(f"weights must be integers, got {weights}")
+    weights = integral
     if any(w < 0 for w in weights):
         raise TropicalError(f"weights must be nonnegative, got {weights}")
     dim = polys[0].dim
@@ -308,14 +308,14 @@ def _minkowski_fold(alpha: np.ndarray, coeff: np.ndarray, factors,
                     cap: int | None) -> TropicalPolynomial:
     """The product (alpha, coeff) ⊙ p_1^{⊙w_1} ⊙ ... of ``factors`` [(p_j, w_j)].
 
-    (alpha, coeff) are canonical rows (``_normalise``) and every w_j >= 1.
+    (alpha, coeff) are canonical rows (``_merge``) and every w_j >= 1.
     The exponents stay packed in keys (``_key_layout``) sized by the
     product's degree bound, the sum over the factors of each one's largest
     exponent, which must fit in int64.  Each step is one broadcast key add
-    and one coefficient add, one sort of the keys, and a first-of-run mask
-    whose runs keep their largest coefficient; the exponents are unpacked
-    once, at the end.  Past ``cap`` monomials after a step the product is
-    pruned, and ``MonomialCapError`` is raised if it is still over.
+    and one coefficient add, and one ``_merge`` of the key columns; the
+    exponents are unpacked once, at the end.  Past ``cap`` monomials after
+    a step the product is pruned, and ``MonomialCapError`` is raised if it
+    is still over.
     """
     degree = alpha.max(axis=0).tolist()
     for p, w in factors:
@@ -338,24 +338,8 @@ def _minkowski_fold(alpha: np.ndarray, coeff: np.ndarray, factors,
         presorted = len(coeff) == 1 or p.num_monomials == 1
         keys = (keys[:, :, None] + pack(p._alpha)[:, None, :] * w).reshape(len(keys), -1)
         coeff = (coeff[:, None] + p._coeff * w).ravel()
-        # Bottom rows (a bottom factor, or a sum that overflowed to -inf) are
-        # dropped unless every row is bottom, as ``_normalise`` does; a sum
-        # past +inf is an error.
-        live = np.isfinite(coeff)
-        if not live.all():
-            _below_top(coeff)
-            keys, coeff = keys[:, live], coeff[live]
-        if not len(coeff):
-            keys, coeff = np.zeros((len(keys), 1), dtype=np.uint64), np.array([-np.inf])
-        elif not presorted:
-            # lexsort's last key is the primary one.  A repeated exponent
-            # keeps the largest coefficient of its run, as ``_normalise`` does.
-            order = np.lexsort(keys[::-1])
-            keys, coeff = keys[:, order], coeff[order]
-            first = np.ones(len(coeff), dtype=bool)
-            first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-            starts = np.flatnonzero(first)
-            keys, coeff = keys[:, starts], np.maximum.reduceat(coeff, starts)
+        # Bottom rows are a bottom factor, or a sum that overflowed to -inf.
+        keys, coeff = _merge(keys, coeff, presorted)
         if cap is not None and len(coeff) > cap:
             out = prune_redundant_monomials(unpack(keys, coeff))
             if out.num_monomials > cap:
@@ -480,10 +464,12 @@ def _hull_maximal(alpha: np.ndarray, coeff: np.ndarray) -> list[int]:
     otherwise the upper facets of the (k+1)-dimensional hull give the
     vertices.  Falls back to the dominance LP only when Qhull fails.
 
-    The result equals the LP's except for a point that is within a
-    tolerance of not being a vertex: its height above the upper hull of
-    the others lies between roundoff and DELTA_TOL, or its normal cone is
-    thinner than HULL_TOL.
+    The indices are ascending, so the kept rows of canonical rows are
+    canonical (``prune_redundant_monomials`` relies on this).  The result
+    equals the LP's except for a point that is within a tolerance of not
+    being a vertex: its height above the upper hull of the others lies
+    between roundoff and DELTA_TOL, or its normal cone is thinner than
+    HULL_TOL.
     """
     from scipy.spatial import QhullError  # slow to import; only regions need it
 
@@ -519,7 +505,8 @@ def prune_redundant_monomials(f: TropicalPolynomial) -> TropicalPolynomial:
     if not keep:
         # All cells tie away; keep the largest-coefficient monomial.
         keep = [int(np.argmax(coeff))]
-    return TropicalPolynomial._from_arrays(f._alpha[keep], coeff[keep])
+    # An ascending subset of canonical rows is canonical.
+    return TropicalPolynomial._trusted(f._alpha[keep], coeff[keep])
 
 
 def _grid_points(dim: int) -> np.ndarray:
@@ -538,8 +525,8 @@ def count_linear_regions(f: TropicalPolynomial, method: str = "hull") -> RegionC
     (alpha_i, c_i).  "exact-lp" counts monomials whose strict-dominance
     cell is full-dimensional (slack LP per monomial); it is the oracle for
     "hull".  "grid-oracle" counts distinct argmax indices over a dense
-    grid on ``GRID_BOX``; it is a sound lower bound on the true count and
-    serves as a cross-check.
+    grid on ``GRID_BOX``; for d <= 2 it is a sound lower bound on the true
+    count and serves as a cross-check, and past d = 2 it is an error.
     """
     alpha, coeff = _finite_parts(f)
     if method in ("hull", "exact-lp"):
@@ -547,6 +534,10 @@ def count_linear_regions(f: TropicalPolynomial, method: str = "hull") -> RegionC
         n = len(maximal(alpha, coeff))
         return RegionCount(count=max(n, 1), method=method, dim=f.dim)
     if method == "grid-oracle":
+        if f.dim > 2:
+            # The grid has 401**d points: about 3 GB at d = 3.
+            raise TropicalError(f"the grid oracle is sound only for d <= 2, "
+                                f"got d = {f.dim}")
         points = _grid_points(f.dim)
         won = np.zeros(len(coeff), dtype=bool)
         for start in range(0, len(points), 65536):
@@ -571,15 +562,28 @@ def polynomial_to_dict(f: TropicalPolynomial) -> dict:
     }
 
 
+def _json_number(v, name: str):
+    """``v`` if it is a JSON number; a string or a bool is not one here."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TropicalError(f"{name} must be a number, got {v!r:.80}")
+    return v
+
+
 def polynomial_from_dict(data: dict) -> TropicalPolynomial:
-    """Inverse of ``polynomial_to_dict``; bottom is written only as "bottom"."""
-    d = int(data["d"])
+    """Inverse of ``polynomial_to_dict``.  ``d`` is an int >= 1, exponents
+    and coefficients are JSON numbers, and bottom is written only as
+    "bottom"."""
+    d = data["d"]
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+        raise TropicalError(f"d must be an int >= 1, got {d!r:.80}")
     monos = data["monomials"]
     coeff = []
     for entry in monos:
         if len(entry["alpha"]) != d:
             raise TropicalError(f"monomial exponent length {len(entry['alpha'])} != d={d}")
-        c = BOTTOM if entry["c"] == "bottom" else float(entry["c"])
+        for a in entry["alpha"]:
+            _json_number(a, "an exponent")
+        c = BOTTOM if entry["c"] == "bottom" else _json_number(entry["c"], "a coefficient")
         if c == BOTTOM and entry["c"] != "bottom":
             raise TropicalError('write a bottom coefficient as "bottom"')
         coeff.append(c)

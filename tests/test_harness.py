@@ -14,6 +14,7 @@ import pytest
 
 import tropnet
 import tropnet.harness as harness
+import tropnet.tropical
 from tropnet.bounds import BoundReport
 from tropnet.cli import main
 from tropnet.harness import (
@@ -33,6 +34,7 @@ from tropnet.networks import (
     run_symbolic,
 )
 from tropnet.seeding import item_seed
+from tropnet.tropical import TropicalError
 
 
 def network_dict(widths=(2, 3, 3), last_identity=False):
@@ -104,10 +106,45 @@ OVERFLOWING_BIAS = {"widths": [2, 3, 3, 1], "r": 2, "thresholds": ["relu", "relu
                     "bias_dist": {"kind": "bounded-uniform-real", "lo": -8e307, "hi": 8e307}}
 
 
+def regions_polynomial(d, *monomials):
+    """A regions config on the polynomial of (c, alpha) monomials."""
+    return {"regions": {"polynomial": {
+        "d": d, "monomials": [{"c": c, "alpha": alpha} for c, alpha in monomials]}}}
+
+
 INVALID_CONFIGS = {
     "fractional-exponent": ("regions", {"regions": {"polynomial": {
         "d": 1, "monomials": [{"c": 0.0, "alpha": [1.5]}, {"c": 0.0, "alpha": [0]}]}}},
         "nonnegative integers"),
+    # A polynomial's numbers are JSON numbers, and d is an int >= 1.
+    "polynomial-string-d": ("regions", regions_polynomial("2", (0.0, [1, 0])),
+                            "config.regions.polynomial: d must be an int >= 1"),
+    "polynomial-fractional-d": ("regions", regions_polynomial(2.7, (0.0, [1, 0])),
+                                "config.regions.polynomial: d must be an int >= 1"),
+    "polynomial-bool-d": ("regions", regions_polynomial(True, (0.0, [1])),
+                          "config.regions.polynomial: d must be an int >= 1"),
+    "polynomial-zero-d": ("regions", regions_polynomial(0, (0.0, []), (1.0, [])),
+                          "config.regions.polynomial: d must be an int >= 1"),
+    "polynomial-bool-c": ("regions", regions_polynomial(1, (True, [1]), (0.0, [0])),
+                          "config.regions.polynomial: a coefficient must be a number"),
+    "polynomial-string-c": ("regions", regions_polynomial(1, ("1.5", [1]), (0.0, [0])),
+                            "config.regions.polynomial: a coefficient must be a number"),
+    "polynomial-string-alpha": ("regions", regions_polynomial(1, (0.0, ["1"]), (0.0, [0])),
+                                "config.regions.polynomial: an exponent must be a number"),
+    "polynomial-bool-alpha": ("regions", regions_polynomial(1, (0.0, [True]), (0.0, [0])),
+                              "config.regions.polynomial: an exponent must be a number"),
+    # The grid oracle holds 401**d points: past d = 2 it refuses before any LP.
+    "polynomial-grid-d3": ("regions", regions_polynomial(
+        3, (0.0, [1, 0, 0]), (0.0, [0, 1, 0]), (0.0, [0, 0, 1])),
+        "TropicalError: the grid oracle is sound only for d <= 2, got d = 3"),
+    "polynomial-grid-d40": ("regions", regions_polynomial(
+        40, (0.0, [1] + [0] * 39), (0.0, [0] * 40)),
+        "TropicalError: the grid oracle is sound only for d <= 2, got d = 40"),
+    "select-layers-few-trajectories": ("select-layers", {
+        "network": network_dict(widths=(2, 3, 1), last_identity=True),
+        "select_layers": {"method": "lsmc", "horizon": 2, "y_star": [1.0],
+                          "n_trajectories": 10}},
+        "config.select_layers.n_trajectories: expected int >= 1000"),
     "copula-rho": ("bounds", with_network(copula_rho=2.0), "copula_rho"),
     "copula-rho-nan": ("bounds", with_network(copula_rho=float("nan")), "copula_rho"),
     "fractional-integer-bounds": ("bounds", with_network(weight_dist={
@@ -324,7 +361,7 @@ NUMERIC_RUNS = {
                  "classify": {"n": 2000, "inputs": [[0.2, -0.4]]}},
     "select-layers": {"seed": 1, "network": network_dict(widths=(2, 1, 1)),
                       "select_layers": {"method": "lsmc", "horizon": 2,
-                                        "y_star": [0.0], "n_trajectories": 200}},
+                                        "y_star": [0.0], "n_trajectories": 1000}},
     "simulate": {"seed": 1, "network": network_dict(), "simulate": {"n": 2}},
 }
 
@@ -494,7 +531,7 @@ class TestSubcommands:
             "network": {"widths": [1, 1, 1], "weight_dist": zero, "bias_dist": zero,
                         "init_mode": "identity", "input_box": [[-1.0, 1.0]]},
             "select_layers": {"method": "lsmc", "horizon": 2, "y_star": [0.0],
-                              "n_trajectories": 100}})
+                              "n_trajectories": 1000}})
         with pytest.warns(UserWarning, match="perfect fit"):
             code, _ = run_subcommand("select-layers", cfg, out_dir=tmp_path)
         assert code == EXIT_OK
@@ -505,6 +542,16 @@ class TestSubcommands:
         sel = json.loads((tmp_path / "selection.json").read_text(),
                          parse_constant=reject)
         assert sel["value"] == "inf" and sel["S"] == ["inf", "inf"]
+
+    def test_regions_past_d2_runs_no_lp_and_writes_no_data(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tropnet.tropical, "linprog", lambda *a, **k: calls.append(1))
+        cfg = parse_config("regions", regions_polynomial(
+            3, (0.0, [1, 0, 0]), (0.0, [0, 1, 0]), (0.0, [0, 0, 0])))
+        with pytest.raises(TropicalError, match="d <= 2"):
+            run_subcommand("regions", cfg, out_dir=tmp_path)
+        assert not calls and not list(tmp_path.glob("*.csv")) \
+            and not list(tmp_path.glob("*.json"))
 
     def test_regions_polynomial(self, tmp_path):
         cfg = parse_config("regions", {"regions": {"polynomial": {

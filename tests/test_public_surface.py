@@ -3,10 +3,11 @@
 A public name is one the package exports or a module-level ``def`` or
 ``class`` without a leading underscore in ``src/tropnet/*.py``; so is a
 method or property of a public class without a leading underscore.  A
-caller is the package itself, the benchmark under ``perfbench/`` or the
-README; a demo only shows what the package does, so it does not count.  A
-public name whose only callers are its own test and the demos is surface
-without a user: it should be deleted, or its test moved onto live code.
+caller is code in the package itself or in the benchmark under
+``perfbench/``; a demo only shows what the package does, and a README
+mention only names it, so neither counts.  A public name whose only
+callers are its own test and the demos is surface without a user: it
+should be deleted, or its test moved onto live code.
 """
 
 import ast
@@ -45,17 +46,14 @@ EXEMPT = ("exhaustive_stopping_oracle", "reference_spec")
 
 
 def has_caller(name: str, member: bool = False) -> bool:
-    """Does code outside the tests use ``name``, or the README name it?  A
-    member is used when code reads it as an attribute, ``.name``."""
-    word = re.compile(rf"\b{re.escape(name)}\b")
-    use = re.compile(rf"\.{re.escape(name)}\b") if member else word
+    """Does code outside the tests and demos use ``name``?  A member is used
+    when code reads it as an attribute, ``.name``."""
+    use = re.compile(rf"\.{re.escape(name)}\b" if member else rf"\b{re.escape(name)}\b")
     definition = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
     code = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
     code += (ROOT / "perfbench").rglob("*.py")
-    if any(use.search(line) and not definition.match(line)
-           for path in code for line in path.read_text().splitlines()):
-        return True
-    return bool(word.search((ROOT / "README.md").read_text()))
+    return any(use.search(line) and not definition.match(line)
+               for path in code for line in path.read_text().splitlines())
 
 
 def test_every_export_has_a_caller_outside_the_tests():

@@ -91,8 +91,13 @@ def same_function(f, g, points):
                        rtol=1e-12, atol=1e-9)
 
 
+def power(f, n):
+    """The tropical power f^{⊙n}: the one-factor weighted combination."""
+    return poly_weighted_combine([f], [n])
+
+
 def assert_semiring_laws(a, b, c, m, n, points):
-    """⊕ = poly_add, ⊙ = poly_mul and powers = scale obey the semiring laws."""
+    """⊕ = poly_add, ⊙ = poly_mul and powers obey the semiring laws."""
     assert poly_add(poly_add(a, b), c) == poly_add(a, poly_add(b, c))
     assert near(poly_mul(poly_mul(a, b), c), poly_mul(a, poly_mul(b, c)))
     assert poly_add(a, b) == poly_add(b, a)
@@ -106,10 +111,10 @@ def assert_semiring_laws(a, b, c, m, n, points):
     # Powers: a^0 is the unit, a^1 = a, powers distribute over ⊙, and they
     # add: as polynomials on one monomial, as functions on several, where
     # a ⊙ a keeps cross terms that are nowhere maximal.
-    assert a.scale(0) == zero
-    assert a.scale(1) == a
-    assert near(poly_mul(a, b).scale(n), poly_mul(a.scale(n), b.scale(n)))
-    added = (poly_mul(a.scale(m), a.scale(n)), a.scale(m + n))
+    assert power(a, 0) == zero
+    assert power(a, 1) == a
+    assert near(power(poly_mul(a, b), n), poly_mul(power(a, n), power(b, n)))
+    added = (poly_mul(power(a, m), power(a, n)), power(a, m + n))
     if a.num_monomials == 1:
         assert near(*added)
     assert same_function(*added, points)
@@ -117,7 +122,7 @@ def assert_semiring_laws(a, b, c, m, n, points):
 
 class TestScalarOps:
     """The scalars are the constant polynomials: ⊕ is poly_add, ⊙ is
-    poly_mul and the tropical power is ``scale``."""
+    poly_mul and the tropical power is a one-factor poly_weighted_combine."""
 
     def test_add_is_max(self):
         assert poly_add(const(3), const(5)) == const(5.0)
@@ -130,11 +135,11 @@ class TestScalarOps:
         assert poly_mul(const(ZERO), const(7)) == const(7.0)  # 0 is the unit
         assert poly_mul(const(BOTTOM), const(7)).is_bottom    # absorbing
 
-    def test_scale_is_the_tropical_power(self):
-        assert const(2).scale(3) == const(6.0)
-        assert const(BOTTOM).scale(0) == const(ZERO)
-        assert const(BOTTOM).scale(3).is_bottom
-        assert poly_mul(const(2).scale(2), const(2).scale(3)) == const(2).scale(5)
+    def test_weighted_combine_is_the_tropical_power(self):
+        assert power(const(2), 3) == const(6.0)
+        assert power(const(BOTTOM), 0) == const(ZERO)
+        assert power(const(BOTTOM), 3).is_bottom
+        assert poly_mul(power(const(2), 2), power(const(2), 3)) == power(const(2), 5)
 
     def test_div_then_mul_recovers(self):
         # Division by b is multiplication by its inverse -b, a shift.
@@ -148,7 +153,7 @@ class TestScalarOps:
         # Bottom has no inverse: there is no negative power, and its would-be
         # inverse +inf is not a scalar.
         with pytest.raises(TropicalError):
-            const(BOTTOM).scale(-1)
+            power(const(BOTTOM), -1)
         with pytest.raises(TropicalError):
             const(3).shift(math.inf)
 
@@ -188,10 +193,10 @@ class TestScalarOps:
         with np.errstate(over="raise", invalid="raise"):
             assert poly_mul(const(BOTTOM), const(1e308)).is_bottom
             assert poly_mul(const(BOTTOM), const(BOTTOM)).is_bottom
-            assert const(BOTTOM).scale(3).is_bottom
+            assert power(const(BOTTOM), 3).is_bottom
             assert const(1e308).shift(BOTTOM).is_bottom
             for op in (lambda: poly_mul(const(1e308), const(1e308)),
-                       lambda: const(1e308).scale(10), lambda: const(-1e308).scale(10)):
+                       lambda: power(const(1e308), 10), lambda: power(const(-1e308), 10)):
                 with pytest.raises(FloatingPointError):
                     op()
 
@@ -266,9 +271,8 @@ class TestArrayRepresentation:
         want = dict_merge(rows, d)
         assert rows_of(from_rows(rows)) == want
         alpha = np.array([a for a, _ in rows], dtype=np.int64).reshape(len(rows), d)
-        f = TropicalPolynomial._from_arrays(alpha, np.array([c for _, c in rows]))
+        f = TropicalPolynomial(alpha, [c for _, c in rows])
         assert rows_of(f) == want
-        assert rows_of(TropicalPolynomial(alpha, [c for _, c in rows])) == want
         assert f.is_bottom == (want[0][1] == -math.inf)
 
     def test_all_bottom_input_keeps_one_bottom_row_at_zero(self):
@@ -309,6 +313,19 @@ class TestArrayRepresentation:
             assert poly(*shuffled) == poly(*terms)
             assert hash(poly(*shuffled)) == hash(poly(*terms))
 
+    def test_signed_zero_tie_keeps_the_first_row(self):
+        # np.maximum may return either zero; the merge keeps the sign of the
+        # first row, so polynomial_to_dict writes the same "c" either way.
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            for n in (1, 20):
+                f = from_rows([((1,), first)] * n + [((1,), second)] * n)
+                assert math.copysign(1.0, f._coeff[0]) == math.copysign(1.0, first)
+                assert to_json(f) == to_json(from_rows([((1,), first)]))
+            pair = poly_add(from_rows([((1,), first)]), from_rows([((1,), second)]))
+            assert math.copysign(1.0, pair._coeff[0]) == math.copysign(1.0, first)
+        mixed = from_rows([((1,), -0.0), ((0,), 1.0), ((1,), -1.0), ((1,), 0.0)])
+        assert [math.copysign(1.0, c) for c in mixed._coeff] == [1.0, -1.0]
+
     def test_signed_zero_coefficients_compare_and_hash_equal(self):
         f, g = poly((0.0, (1,))), poly((-0.0, (1,)))
         assert f == g and hash(f) == hash(g)
@@ -317,7 +334,7 @@ class TestArrayRepresentation:
     @pytest.mark.parametrize("alpha, coeff", [
         ([], []), ([[]], []), ([1, 0], [0.0, 0.0]), ([[1], [0]], [0.0]),
         ([[-1]], [0.0]), ([[0.5]], [0.0]), ([[np.nan]], [0.0]), ([["x"]], [0.0]),
-        ([[1]], [np.nan]), ([[1]], [np.inf]),
+        ([[1]], [np.nan]), ([[1]], [np.inf]), ([[]], [0.0]),
     ])
     def test_constructor_rejects_bad_arrays(self, alpha, coeff):
         with pytest.raises(TropicalError):
@@ -333,6 +350,43 @@ class TestArrayRepresentation:
         assert TropicalPolynomial.__slots__ == ("_alpha", "_coeff")
         assert f._alpha.dtype == np.int64 and f._alpha.shape == (2, 2)
         assert f._coeff.dtype == np.float64 and f._coeff.shape == (2,)
+
+
+def assert_canonical(f):
+    """``f`` holds canonical rows: the constructor leaves them bit for bit."""
+    again = TropicalPolynomial(f._alpha, f._coeff)
+    assert f._alpha.dtype == np.int64 and f._alpha.flags.c_contiguous
+    assert f._coeff.dtype == np.float64
+    assert again._alpha.shape == f._alpha.shape
+    assert again._alpha.tobytes() == f._alpha.tobytes()
+    assert again._coeff.tobytes() == f._coeff.tobytes()
+
+
+class TestCanonicalRows:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(raw_rows(), st.data())
+    def test_every_producer_returns_canonical_rows(self, first, data):
+        d, rows_f = first
+        rows_g = data.draw(raw_rows().filter(lambda dr: dr[0] == d))[1]
+        f, g = from_rows(rows_f), from_rows(rows_g)
+        w = data.draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))
+        bias = data.draw(HALVES)
+        # Rows at -1e308 shifted by -1e308 overflow to bottom and drop out.
+        low = from_rows([(a, -1e308 if c < 0 else c) for a, c in rows_f])
+        produced = [f, g, poly_add(f, g), poly_mul(f, g),
+                    poly_weighted_combine([f, g], w, bias=bias),
+                    f.shift(1.5), f.shift(BOTTOM), constant_polynomial(d, bias),
+                    constant_polynomial(d, -0.0)]
+        with np.errstate(over="ignore"):
+            produced.append(low.shift(-1e308))
+        try:
+            produced.append(poly_weighted_combine([f, g], w, bias=bias, cap=2))
+        except MonomialCapError:
+            pass
+        if not f.is_bottom:
+            produced.append(prune_redundant_monomials(f))
+        for p in produced:
+            assert_canonical(p)
 
 
 class TestWeightedCombine:
@@ -362,6 +416,17 @@ class TestWeightedCombine:
         p = poly((0.0, (1,)))
         with pytest.raises(ValueError):
             poly_weighted_combine([p], [-1])
+
+    def test_non_integral_weight_rejected(self):
+        # int(w) would read 1.5 as 1, 0.7 as 0 and 2.9 as 2.
+        p = poly((0.0, (0,)), (0.5, (1,)))
+        for w in (1.5, 0.7, 2.9, np.float64(0.5), math.nan, math.inf, "2", None):
+            with pytest.raises(TropicalError, match="weights must be integers"):
+                poly_weighted_combine([p], [w])
+        square = poly_weighted_combine([p], [2])
+        assert poly_weighted_combine([p], [2.0]) == square
+        assert poly_weighted_combine([p], np.array([2])) == square
+        assert poly_weighted_combine([p, p], np.array([2, 0], dtype=np.int8)) == square
 
     def test_bottom_bias_bottoms_out(self):
         p = poly((0.0, (1,)))
@@ -438,7 +503,7 @@ class TestMinkowskiFold:
     def test_cap_returns_the_pruned_product(self):
         # x^2 ⊕ 0 squared is x^4 ⊕ x^2 ⊕ 0, whose middle monomial ties.
         f = poly((0.0, (0,)), (0.0, (2,)))
-        assert poly_weighted_combine([f], [2], cap=2) == f.scale(2)
+        assert poly_weighted_combine([f], [2], cap=2) == power(f, 2)
         assert poly_weighted_combine([f, f], [1, 1], cap=2) == poly((0.0, (0,)), (0.0, (4,)))
         assert poly_weighted_combine([f, f], [1, 1]).num_monomials == 3
 
@@ -476,7 +541,7 @@ class TestMinkowskiFold:
 
     def test_exponent_overflow_is_an_error(self):
         with pytest.raises(TropicalError, match="int64"):
-            TropicalPolynomial([[2 ** 40, 1]], [0.5]).scale(2 ** 30)
+            power(TropicalPolynomial([[2 ** 40, 1]], [0.5]), 2 ** 30)
         top = poly((0.0, (2 ** 62, 0)))
         with pytest.raises(TropicalError, match="int64"):
             poly_mul(top, top)
@@ -490,7 +555,7 @@ class TestMinkowskiFold:
         # is NaN, which the fold's live mask would drop without a word.
         f = TropicalPolynomial([[1]], [1e308])
         with np.errstate(over="ignore", invalid="ignore"):
-            for op in (lambda: f.scale(10), lambda: f.shift(1e308), lambda: poly_mul(f, f),
+            for op in (lambda: f.shift(1e308), lambda: poly_mul(f, f),
                        lambda: poly_weighted_combine([f], [3]),
                        lambda: poly_weighted_combine([f], [3], bias=BOTTOM)):
                 with pytest.raises(TropicalError, match="overflow"):
@@ -609,7 +674,8 @@ class TestUpperHull:
     @given(lifted_points())
     def test_hull_keeps_exactly_the_lp_set(self, points):
         alpha, coeff = points
-        assert sorted(_hull_maximal(alpha, coeff)) == _lp_maximal(alpha, coeff)
+        # Equal as lists: the hull's indices come out ascending, as the LP's do.
+        assert _hull_maximal(alpha, coeff) == _lp_maximal(alpha, coeff)
 
     def test_point_on_a_segment_up_to_roundoff_is_not_a_vertex(self):
         # A symbolic-network output: points 0, 1, 2 are collinear in the
