@@ -61,6 +61,7 @@ from .bounds import (
     region_count_bound,
     region_count_concentration,
     simulate_random_walk,
+    tail_distances,
     verify_layer_concentration,
     walk_tail_reports,
 )

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -92,14 +93,11 @@ def region_count_bound(t: float, b1: int) -> float:
 # Empirical estimation
 # ---------------------------------------------------------------------------
 
-def estimate_tail(samples: np.ndarray, center: np.ndarray,
-                  t_grid: Sequence[float]) -> list[tuple[float, float]]:
-    """Fraction of samples with ||sample - center||_2 >= t, with its SE, for
-    each t in ``t_grid``; the distances are computed once for the grid."""
+def tail_distances(samples: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """||sample - center||_2 of each row of ``samples``; a sample or center
+    that is not finite is a ``ValueError``.  Finite rows whose distance
+    overflows give inf, which lies past every threshold."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    n = samples.shape[0]
-    if n < 1000:
-        raise ValueError(f"tail estimation needs n >= 1000 samples, got {n}")
     center = np.asarray(center, dtype=float).reshape(-1)
     if center.shape[0] != samples.shape[1]:
         raise ValueError("sample and center dimensions disagree")
@@ -108,6 +106,20 @@ def estimate_tail(samples: np.ndarray, center: np.ndarray,
     if not np.isfinite(dist).all() and not (np.isfinite(samples).all()
                                             and np.isfinite(center).all()):
         raise ValueError("tail estimation needs finite samples and center")
+    return dist
+
+
+def estimate_tail(dist: np.ndarray,
+                  t_grid: Sequence[float]) -> list[tuple[float, float]]:
+    """Fraction of the distances ``dist`` (from ``tail_distances``) that are
+    >= t, with its SE, for each t in ``t_grid``."""
+    dist = np.asarray(dist, dtype=float).reshape(-1)
+    n = dist.shape[0]
+    if n < 1000:
+        raise ValueError(f"tail estimation needs n >= 1000 samples, got {n}")
+    if not (dist >= 0).all():  # NaN compares false
+        raise ValueError("tail estimation needs finite samples: a distance is "
+                         "NaN or negative")
     return [binomial_estimate(int(np.count_nonzero(dist >= t)), n) for t in t_grid]
 
 
@@ -160,31 +172,51 @@ def verify_layer_concentration(spec: NetworkSpec,
     layer's largest sample norm exceeds its xi_l: such a certificate is
     unsound.  ``map`` runs the simulation blocks of both sets (the harness
     passes a process pool's ``map``; results are identical by the stream
-    discipline).
+    discipline).  The pilot set keeps the requested layers' outputs, the
+    evaluation set only ||nu_l|| and ||nu_l - center_l|| of each draw.
     """
     layers = list(layers) if layers is not None else list(range(1, spec.depth + 1))
     pilot_n = pilot_n or n
     # Certify before sampling: a certificate that overflows fails before any
     # draw, and a default grid is read off the certificate.
     intervals = propagate_intervals(spec)
-    pilot = simulate_layer_outputs(spec, pilot_n, seed, tag="pilot", map=map)
-    sample = simulate_layer_outputs(spec, n, seed, tag="eval", map=map)
+    pilot = simulate_layer_outputs(spec, pilot_n, seed, tag="pilot", map=map,
+                                   stat=partial(_pick_layers, layers=layers))
+    centers = [nu.mean(axis=0) for nu in pilot]
+    del pilot
+    stats = simulate_layer_outputs(spec, n, seed, tag="eval", map=map,
+                                   stat=partial(_norms_and_distances, layers=layers,
+                                                centers=centers))
+    norms, dists = stats[:len(layers)], stats[len(layers):]
     reports = []
-    for l in layers:
-        center = pilot[l - 1].mean(axis=0)
+    for l, norm, dist in zip(layers, norms, dists):
         xi = intervals[l].xi
-        observed = float(np.linalg.norm(sample[l - 1], axis=1).max())
+        observed = float(norm.max())
         if observed > xi + 1e-9:
             raise ValueError(f"certificate violated: empirical max {observed} "
                              f"exceeds xi={xi} at layer {l}")
         grid = np.linspace(0.0, 2.0 * xi, 10) if t_grid is None else t_grid
         grid = [float(t) for t in grid]
-        for t, (p_hat, se) in zip(grid, estimate_tail(sample[l - 1], center, grid)):
+        for t, (p_hat, se) in zip(grid, estimate_tail(dist, grid)):
             reports.append(BoundReport(kind="nSG", layer=l, t=t,
                                        analytic=nsg_bound(t, xi),
                                        empirical=p_hat, se=se, n=n,
                                        params=(xi,)))
     return reports
+
+
+# Per-block statistics of the two sets: top level, so that a pool can pickle
+# them.  The pilot keeps the requested layers' nu, since a mean summed block
+# by block would round differently from one over the whole set.
+
+def _pick_layers(nus, layers):
+    return [nus[l - 1] for l in layers]
+
+
+def _norms_and_distances(nus, layers, centers):
+    """||nu_l|| and ||nu_l - center_l|| of each requested layer."""
+    return ([np.linalg.norm(nus[l - 1], axis=1) for l in layers]
+            + [tail_distances(nus[l - 1], c) for l, c in zip(layers, centers)])
 
 
 def region_count_concentration(counts: Sequence[int], b1: int,
@@ -360,7 +392,8 @@ def walk_tail_reports(traj: np.ndarray, a_grid: Sequence[float],
     reports = []
     center = np.zeros(traj.shape[2])
     for l in range(1, steps_plus):
-        tails = estimate_tail(traj[:, l], center, [m * float(a) for a in a_grid])
+        tails = estimate_tail(tail_distances(traj[:, l], center),
+                              [m * float(a) for a in a_grid])
         for a, (p_hat, se) in zip(a_grid, tails):
             reports.append(BoundReport(kind="martingale", layer=l, t=m * float(a),
                                        analytic=mgale_bound(float(a), m, l),

@@ -102,9 +102,15 @@ def expected_score(spec: NetworkSpec, score_spec: ScoreSpec, x,
                              f"got width {spec.p}")
     if n < 1000:
         raise ValueError(f"need n >= 1000 draws, got {n}")
-    nu = simulate_layer_outputs(spec, n, seed, x=x, tag="score")[-1][:, 0]
+    [nu] = simulate_layer_outputs(spec, n, seed, x=x, tag="score", stat=_output)
     s = np.asarray(score(score_spec, nu))
     return float(s.mean()), float(s.std(ddof=1) / math.sqrt(n))
+
+
+def _output(nus):
+    """The scalar output nu_L of each draw of a block; top level, so that a
+    pool can pickle it."""
+    return [nus[-1][:, 0]]
 
 
 def expected_classify(estimate: float, score_spec: ScoreSpec,
@@ -179,7 +185,7 @@ def _audit_input(spec: NetworkSpec, score_spec: ScoreSpec, x: np.ndarray,
         return AuditRow(input_id=i, estimate=est, se=se, label="abstain",
                         t=d.t, bound=1.0, empirical=float("nan"),
                         empirical_se=float("nan"), verdict="unresolved")
-    nu = simulate_layer_outputs(spec, n, input_seed, x=x, tag="audit")[-1][:, 0]
+    [nu] = simulate_layer_outputs(spec, n, input_seed, x=x, tag="audit", stat=_output)
     s = np.asarray(score(score_spec, nu))
     wrong_side = s <= score_spec.c if d.label == "C1" else s >= score_spec.c
     disagree, emp_se = binomial_estimate(int(np.count_nonzero(wrong_side)), n)

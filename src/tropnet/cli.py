@@ -108,7 +108,7 @@ def main(argv=None) -> int:
         return _fail(f"invalid config JSON: {exc}", args.json_errors)
     except ConfigError as exc:
         return _fail(str(exc), args.json_errors)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}", args.json_errors)
 
 

@@ -16,7 +16,8 @@ One sampler draws the parameters of a batch of networks as one
 of one from it.  The pair recursion serves single draws (``run_network``)
 and the fully symbolic (tropical polynomial) forward pass; batched Monte
 Carlo (``simulate_layer_outputs``) carries only nu through the direct
-recursion, on integer weights as drawn.  ``propagate_intervals``
+recursion, on integer weights as drawn, and keeps per draw only the
+statistic its caller reads.  ``propagate_intervals``
 certifies a bound xi_l on every draw's layer output norm ||nu_l|| by
 interval arithmetic on the direct recursion, where F and G cancel.
 
@@ -135,6 +136,11 @@ class DistributionSpec:
                                                                and hi.is_integer()):
                 raise SpecError(f"bounded-uniform-integer needs integral bounds, "
                                 f"got [{lo}, {hi}]")
+            # Integer laws draw int64; the float nearest 2**63 - 1 is 2**63.
+            if self.kind == "bounded-uniform-integer" and not (-2.0 ** 63 <= lo
+                                                               and hi < 2.0 ** 63):
+                raise SpecError(f"bounded-uniform-integer bounds must lie in the int64 "
+                                f"range, got [{lo}, {hi}]")
             object.__setattr__(self, "lo", lo)
             object.__setattr__(self, "hi", hi)
             if self.kind == "truncated-gaussian" and self.sigma <= 0:
@@ -715,35 +721,52 @@ def _batch_block(spec: NetworkSpec, rng, n: int, x: np.ndarray | None):
     return nus
 
 
+def _every_layer(nus: list[np.ndarray]) -> list[np.ndarray]:
+    """The default statistic of ``simulate_layer_outputs``: nu of every layer."""
+    return nus
+
+
 def _simulate_block(spec: NetworkSpec, n: int, seed: int, block_index: int,
-                    x: np.ndarray | None, tag: str) -> list[np.ndarray]:
+                    x: np.ndarray | None, tag: str, stat=_every_layer) -> list[np.ndarray]:
     # What simulate_layer_outputs maps: top level so that a pool can pickle
     # it, and not the public simulate_block, so that a caller wrapping the
     # public functions sees each draw once.
-    return _batch_block(spec, stream(seed, tag, block_index), n, x)
+    nus = _batch_block(spec, stream(seed, tag, block_index), n, x)
+    for l, nu in enumerate(nus, start=1):
+        _check_finite(l, nu)
+    return stat(nus)
 
 
-def simulate_layer_outputs(spec: NetworkSpec, n: int, seed: int,
-                           x=None, tag: str = "batch", map=map) -> list[np.ndarray]:
-    """Monte Carlo sample of nu per layer over ``n`` network draws.
+def simulate_layer_outputs(spec: NetworkSpec, n: int, seed: int, x=None,
+                           tag: str = "batch", map=map,
+                           stat=_every_layer) -> list[np.ndarray]:
+    """Monte Carlo statistics of nu per layer over ``n`` network draws.
 
     With ``x=None`` each draw also samples an input uniformly from the
     spec's input box; otherwise the input is held fixed.  Runs are
     simulated in fixed-size blocks, block ``b`` from ``stream(seed, tag,
-    b)``.  ``map`` runs the blocks: the builtin runs them here, a process
+    b)``.  ``stat`` maps a block's per-layer nu arrays 1..L to a list of
+    arrays with one row per draw, and the result stacks each of them over
+    the ``n`` draws; the default keeps every layer's nu.  A caller that
+    reads only a scalar or two per draw passes a statistic that computes
+    them, so the full sample is never held.  ``stat`` is a top-level
+    function or a ``functools.partial`` of one, so that a pool can pickle
+    it.  ``map`` runs the blocks: the builtin runs them here, a process
     pool's ``map`` runs them in its workers, with identical results.
     Raises ``SpecError`` when a layer output overflows to inf or NaN.
     """
     x = _as_input(spec, x)
-    blocks = list(block_indices(n))
+    # n = 0 runs one empty block, so that the outputs still have their shapes.
+    blocks = list(block_indices(n)) or [(0, 0, 0)]
     results = map(_simulate_block, repeat(spec), [size for _, _, size in blocks],
-                  repeat(seed), [b for b, _, _ in blocks], repeat(x), repeat(tag))
-    outs = [np.empty((n, spec.widths[l])) for l in range(1, spec.depth + 1)]
+                  repeat(seed), [b for b, _, _ in blocks], repeat(x), repeat(tag),
+                  repeat(stat))
+    outs = None
     for (_, start, size), block in zip(blocks, results):
-        for l, arr in enumerate(block):
-            outs[l][start:start + size] = arr
-    for l, out in enumerate(outs, start=1):
-        _check_finite(l, out)
+        if outs is None:
+            outs = [np.empty((n,) + arr.shape[1:], dtype=arr.dtype) for arr in block]
+        for out, arr in zip(outs, block):
+            out[start:start + size] = arr
     return outs
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -439,10 +440,16 @@ def simulate_gamma_trajectories(spec: NetworkSpec, gamma_spec: GammaSpec,
     if y_star.shape[0] != spec.widths[-1]:
         raise SpecError("target dimension does not match the network width")
 
-    nus = simulate_layer_outputs(spec, n, seed, tag="gamma")
-    losses = np.stack([loss_mse(nu, y_star) for nu in nus], axis=1)
+    [losses] = simulate_layer_outputs(spec, n, seed, tag="gamma",
+                                      stat=partial(_block_losses, y_star=y_star))
     # A zero loss gives an infinite utility; the caller short-circuits it.
     return gamma_value(gamma_spec, np.arange(1, horizon + 1), losses), losses
+
+
+def _block_losses(nus, y_star):
+    """The (block, horizon) losses of one simulation block; top level, so
+    that a pool can pickle it."""
+    return [np.stack([loss_mse(nu, y_star) for nu in nus], axis=1)]
 
 
 # ---------------------------------------------------------------------------

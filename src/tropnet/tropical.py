@@ -117,6 +117,17 @@ def _normalise(alpha: np.ndarray, coeff: np.ndarray):
     return np.ascontiguousarray(cols.T), coeff
 
 
+def _numbers(value) -> np.ndarray:
+    """``value`` as an array of real numbers; numpy reads the string "1" and
+    True as 1, but neither is a number here."""
+    arr = np.asarray(value)
+    if not (isinstance(value, np.ndarray) and arr.dtype.kind in "iuf") and not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool)
+            for v in np.asarray(value, dtype=object).flat):
+        raise TypeError(f"not an array of real numbers: {value!r:.80}")
+    return arr
+
+
 class TropicalPolynomial:
     """Finite tropical sum (max) of monomials c + alpha · x over a common dimension.
 
@@ -132,9 +143,9 @@ class TropicalPolynomial:
 
     def __init__(self, alpha, coeff):
         try:
-            alpha = np.asarray(alpha)
+            alpha, coeff = _numbers(alpha), _numbers(coeff)
             exps = alpha.astype(float)
-            coeff = np.asarray(coeff, dtype=float)
+            coeff = coeff.astype(float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise TropicalError(f"monomial rows must be numeric: {exc}") from exc
         if alpha.ndim != 2 or 0 in alpha.shape or coeff.shape != alpha.shape[:1]:

@@ -22,6 +22,7 @@ from tropnet.bounds import (
     region_count_bound,
     region_count_concentration,
     simulate_random_walk,
+    tail_distances,
     verify_layer_concentration,
     walk_tail_reports,
 )
@@ -93,12 +94,12 @@ class TestVerdictRule:
 class TestEstimateTail:
     def test_degenerate_distribution(self):
         samples = np.zeros((1000, 2))
-        [(p, se)] = estimate_tail(samples, np.zeros(2), [0.5])
+        [(p, se)] = estimate_tail(tail_distances(samples, np.zeros(2)), [0.5])
         assert p == 0.0 and se == 0.0
 
     def test_zero_threshold(self):
         samples = np.random.default_rng(0).normal(size=(1000, 3))
-        [(p, _)] = estimate_tail(samples, np.zeros(3), [0.0])
+        [(p, _)] = estimate_tail(tail_distances(samples, np.zeros(3)), [0.0])
         assert p == 1.0
 
     def test_gaussian_quantile_oracle(self):
@@ -106,35 +107,43 @@ class TestEstimateTail:
         expected = 2 * norm.sf(1.96)
         assert expected == pytest.approx(0.05, abs=1e-4)
         samples = stream(0, "gauss").normal(size=(100_000, 1))
-        [(p, se)] = estimate_tail(samples, np.zeros(1), [1.96])
+        [(p, se)] = estimate_tail(tail_distances(samples, np.zeros(1)), [1.96])
         assert abs(p - expected) <= 3 * max(se, 1e-12) + 1e-3
 
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError):
-            estimate_tail(np.zeros((10, 1)), np.zeros(1), [1.0])
+            estimate_tail(np.zeros(10), [1.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_input_rejected(self, bad):
         samples = np.zeros((1000, 2))
         samples[7, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            estimate_tail(samples, np.zeros(2), [1.0])
+            tail_distances(samples, np.zeros(2))
         with pytest.raises(ValueError, match="finite"):
-            estimate_tail(np.zeros((1000, 2)), np.array([0.0, bad]), [1.0])
+            tail_distances(np.zeros((1000, 2)), np.array([0.0, bad]))
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_a_distance_that_is_nan_or_negative_is_rejected(self, bad):
+        dist = np.zeros(1000)
+        dist[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            estimate_tail(dist, [1.0])
 
     def test_finite_samples_whose_norm_overflows_are_counted(self):
         samples = np.full((1000, 2), 1e200)
         with np.errstate(over="ignore"):
-            assert estimate_tail(samples, np.zeros(2), [1.0]) == [(1.0, 0.0)]
+            dist = tail_distances(samples, np.zeros(2))
+        assert estimate_tail(dist, [1.0]) == [(1.0, 0.0)]
 
     def test_one_pass_matches_the_count_at_each_threshold(self):
         samples = stream(2, "grid").normal(size=(2000, 3))
         center = np.array([0.1, -0.2, 0.0])
         grid = [0.0, 0.5, 1.5, 3.0, 10.0]
         dist = np.linalg.norm(samples - center, axis=1)
-        assert estimate_tail(samples, center, grid) == [
+        assert estimate_tail(tail_distances(samples, center), grid) == [
             binomial_estimate(int((dist >= t).sum()), 2000) for t in grid]
-        assert estimate_tail(samples, center, []) == []
+        assert estimate_tail(dist, []) == []
 
     def test_sphere_sampler_stays_under_nsg_bound(self):
         # Uniform on the radius-xi sphere in R^3 via normalized Gaussians.
@@ -143,14 +152,14 @@ class TestEstimateTail:
         g = rng.normal(size=(100_000, 3))
         samples = xi * g / np.linalg.norm(g, axis=1, keepdims=True)
         t = 1.5 * xi
-        [(p, se)] = estimate_tail(samples, samples.mean(axis=0), [t])
+        [(p, se)] = estimate_tail(tail_distances(samples, samples.mean(axis=0)), [t])
         assert p <= nsg_bound(t, xi) + 3 * se
 
     def test_two_point_enumeration(self):
         # Bernoulli(1/2) on {0,1}: |X - 1/2| >= 0.4 happens surely, and the
         # bound 2 exp(-0.32) ~ 1.452 stays above it.
         samples = np.array([[0.0], [1.0]] * 500)
-        [(p, se)] = estimate_tail(samples, np.array([0.5]), [0.4])
+        [(p, se)] = estimate_tail(tail_distances(samples, np.array([0.5])), [0.4])
         assert p == 1.0
         assert hoeffding_bound(0.4, 0.0, 1.0) == pytest.approx(2 * math.exp(-0.32),
                                                                abs=1e-12)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import tropnet
+import tropnet.cli
 import tropnet.harness as harness
 import tropnet.tropical
 from tropnet.bounds import BoundReport
@@ -706,6 +707,20 @@ class TestExitCodes:
         assert code == EXIT_ERROR
         err = json.loads(capsys.readouterr().out)
         assert "config.network" in err["error"]
+
+
+    def test_cli_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # A stand-in run raises at once; nothing large is allocated.
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+        monkeypatch.setattr(tropnet.cli, "run_subcommand", out_of_memory)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"network": network_dict()}))
+        code = main(["bounds", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == \
+            "error: MemoryError: Unable to allocate 8.00 GiB for an array\n"
 
 
 class TestReproducibility:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -121,6 +122,15 @@ class TestDistributionSpec:
         with pytest.raises(SpecError, match="integral bounds"):
             DistributionSpec("bounded-uniform-integer", lo=lo, hi=hi)
         assert DistributionSpec("bounded-uniform-integer", lo=-2.0, hi=3.0).is_integer
+
+    @pytest.mark.parametrize("lo, hi", [(0, 1e308), (-1e19, 0), (0, 2.0 ** 63)])
+    def test_integer_law_bounds_fit_int64(self, lo, hi):
+        # Integer laws are drawn as int64; numpy would refuse the first draw.
+        with pytest.raises(SpecError, match="int64 range"):
+            DistributionSpec("bounded-uniform-integer", lo=lo, hi=hi)
+        widest = DistributionSpec("bounded-uniform-integer", lo=-2.0 ** 63,
+                                  hi=2.0 ** 63 - 1024)
+        assert widest.sample(stream(0, "t"), 3).shape == (3,)
 
     def test_integer_detection(self):
         assert uniform_int(-3, 3).is_integer
@@ -584,6 +594,14 @@ class TestSpecJson:
     def test_round_trip(self):
         spec = reference_spec()
         assert through_json(spec) == spec
+
+    @pytest.mark.parametrize("field, index, path", [
+        ("bias_dist", None, "bias_dist"), ("exponent_dists", 1, "exponent_dists[1]")])
+    def test_integer_law_past_int64_names_its_field(self, field, index, path):
+        law = {"kind": "bounded-uniform-integer", "lo": 0, "hi": 1e308}
+        value = law if index is None else [{**law, "hi": 1}, law]
+        with pytest.raises(SpecError, match=rf"^{re.escape(path)}: .*int64 range"):
+            network_spec_from_dict({"widths": [2, 2], field: value})
 
     def test_round_trip_with_options(self):
         spec = NetworkSpec(widths=(2, 2, 1), r=2,

@@ -340,6 +340,16 @@ class TestArrayRepresentation:
         with pytest.raises(TropicalError):
             TropicalPolynomial(alpha, coeff)
 
+    @pytest.mark.parametrize("alpha, coeff", [
+        ([["1", "2"]], ["0.5"]), ([[1, 2]], ["0.5"]), ([[True]], [1.0]),
+        ([[1, True]], [0.0]), ([[1]], [False]), (np.array([[True]]), [0.0]),
+        (np.array([["1"]]), [0.0]),
+    ])
+    def test_constructor_rejects_strings_and_booleans(self, alpha, coeff):
+        # numpy would read "1" and True as the number 1.
+        with pytest.raises(TropicalError, match="real numbers"):
+            TropicalPolynomial(alpha, coeff)
+
     def test_constructor_accepts_integral_floats_and_bottom(self):
         f = TropicalPolynomial(np.array([[2.0, 0.0], [1.0, 1.0]]), [BOTTOM, 1.5])
         assert rows_of(f) == [((1, 1), 1.5)]
