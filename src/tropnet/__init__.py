@@ -67,7 +67,6 @@ from .bounds import (
 )
 from .classifier import (
     AuditRow,
-    DecisionBoundaryError,
     ExpectedDecision,
     ScoreSpec,
     disagreement_audit,

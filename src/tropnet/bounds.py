@@ -139,7 +139,6 @@ class BoundReport:
     empirical: float
     se: float
     n: int
-    params: tuple = ()
 
     @property
     def verdict(self) -> str:
@@ -200,8 +199,7 @@ def verify_layer_concentration(spec: NetworkSpec,
         for t, (p_hat, se) in zip(grid, estimate_tail(dist, grid)):
             reports.append(BoundReport(kind="nSG", layer=l, t=t,
                                        analytic=nsg_bound(t, xi),
-                                       empirical=p_hat, se=se, n=n,
-                                       params=(xi,)))
+                                       empirical=p_hat, se=se, n=n))
     return reports
 
 
@@ -234,8 +232,7 @@ def region_count_concentration(counts: Sequence[int], b1: int,
                                       len(counts))
         reports.append(BoundReport(kind="region-count", layer=0, t=float(t),
                                    analytic=region_count_bound(float(t), b1),
-                                   empirical=p_hat, se=se,
-                                   n=len(counts), params=(b1,)))
+                                   empirical=p_hat, se=se, n=len(counts)))
     return reports
 
 
@@ -397,6 +394,5 @@ def walk_tail_reports(traj: np.ndarray, a_grid: Sequence[float],
         for a, (p_hat, se) in zip(a_grid, tails):
             reports.append(BoundReport(kind="martingale", layer=l, t=m * float(a),
                                        analytic=mgale_bound(float(a), m, l),
-                                       empirical=p_hat, se=se, n=n,
-                                       params=(m, l)))
+                                       empirical=p_hat, se=se, n=n))
     return reports

@@ -23,43 +23,52 @@ import numpy as np
 from .bounds import binomial_estimate, exceeds
 from .networks import NetworkSpec, simulate_layer_outputs
 from .seeding import item_seed
+from .tropical import _finite
 
 
 class ScoreSpecError(ValueError):
     pass
 
 
-class DecisionBoundaryError(ValueError):
-    """The estimate sits exactly on the decision boundary; no class applies."""
-
-
 @dataclass(frozen=True)
 class ScoreSpec:
-    """Bounded scoring rule with a decision threshold strictly inside its range."""
+    """Bounded scoring rule with a decision threshold strictly inside its range;
+    its fields are the JSON format of a config's ``score`` object."""
 
     kind: str = "sigmoid"  # "sigmoid" | "clamped-identity" | "table"
     a: float = 0.0
     b: float = 1.0
     c: float = 0.5
-    table: tuple = ()      # ((v, s), ...) strictly increasing in both coordinates
+    table: tuple = ()      # float pairs ((v, s), ...) strictly increasing in both
 
     def __post_init__(self):
         if self.kind not in ("sigmoid", "clamped-identity", "table"):
-            raise ScoreSpecError(f"unknown score kind {self.kind!r}")
+            raise ScoreSpecError(f"unknown score kind {self.kind!r:.80}")
+        for name in ("a", "b", "c"):
+            value = _finite(getattr(self, name), 0)
+            if value is None:
+                raise ScoreSpecError(f"{name} must be a real number, "
+                                     f"got {getattr(self, name)!r:.80}")
+            object.__setattr__(self, name, float(value))
+        empty = isinstance(self.table, (tuple, list)) and not self.table
+        table = np.empty((0, 2)) if empty else _finite(self.table, 2)
+        if table is None or table.shape[1] != 2:
+            raise ScoreSpecError(f"table must be a list of [v, s] number pairs, "
+                                 f"got {self.table!r:.80}")
+        object.__setattr__(self, "table", tuple(map(tuple, table.tolist())))
         if not self.a < self.c < self.b:
             raise ScoreSpecError(f"need a < c < b, got a={self.a}, c={self.c}, b={self.b}")
         if self.kind == "sigmoid" and (self.a, self.b) != (0.0, 1.0):
             raise ScoreSpecError("sigmoid scores have range closure [0, 1]")
         if self.kind == "table":
-            if len(self.table) < 2:
+            if len(table) < 2:
                 raise ScoreSpecError("table scores need at least two knots")
-            vs = [v for v, _ in self.table]
-            ss = [s for _, s in self.table]
-            if any(v2 <= v1 for v1, v2 in zip(vs, vs[1:])):
+            vs, ss = table.T
+            if np.any(np.diff(vs) <= 0):
                 raise ScoreSpecError("table knots must be strictly increasing in v")
-            if any(s2 <= s1 for s1, s2 in zip(ss, ss[1:])):
+            if np.any(np.diff(ss) <= 0):
                 raise ScoreSpecError("table scores must be strictly increasing")
-            if min(ss) < self.a or max(ss) > self.b:
+            if ss.min() < self.a or ss.max() > self.b:
                 raise ScoreSpecError("table values leave the declared range [a, b]")
 
 
@@ -71,8 +80,7 @@ def score(spec: ScoreSpec, v) -> np.ndarray | float:
     elif spec.kind == "clamped-identity":
         out = np.clip(v, spec.a, spec.b)
     else:
-        vs = np.array([p[0] for p in spec.table])
-        ss = np.array([p[1] for p in spec.table])
+        vs, ss = np.array(spec.table).T
         out = np.interp(v, vs, ss)
     return float(out) if out.ndim == 0 else out
 
@@ -117,17 +125,13 @@ def expected_classify(estimate: float, score_spec: ScoreSpec,
                       se: float = 0.0) -> ExpectedDecision:
     """Label an input from its estimated expected score.
 
-    An estimate exactly on the boundary has no class (the expected
-    decision boundary itself) and raises; estimates within 3 SE of the
-    boundary abstain, since their side of c is not statistically resolved.
+    Estimates within 3 SE of the boundary abstain, since their side of c
+    is not statistically resolved; so does an estimate exactly on c (the
+    expected decision boundary itself), at t = 0 and any se.
     """
     a, b, c = score_spec.a, score_spec.b, score_spec.c
     if not a <= estimate <= b:
         raise ScoreSpecError(f"estimate {estimate} outside score range [{a}, {b}]")
-    if estimate == c:
-        raise DecisionBoundaryError(
-            "estimate equals the decision threshold; the input lies on the "
-            "expected decision boundary")
     t = abs(estimate - c)
     if not exceeds(t, se, 0.0):
         return ExpectedDecision(estimate=estimate, se=se, label="abstain",
@@ -176,11 +180,7 @@ def _audit_input(spec: NetworkSpec, score_spec: ScoreSpec, x: np.ndarray,
                  n: int, seed: int, i: int) -> AuditRow:
     input_seed = item_seed(seed, "classify", i)
     est, se = expected_score(spec, score_spec, x, n=n, seed=input_seed)
-    try:
-        d = expected_classify(est, score_spec, se)
-    except DecisionBoundaryError:  # on c: unresolved at any se
-        d = ExpectedDecision(estimate=est, se=se, label="abstain", t=0.0,
-                             error_bound=1.0)
+    d = expected_classify(est, score_spec, se)
     if d.label == "abstain":
         return AuditRow(input_id=i, estimate=est, se=se, label="abstain",
                         t=d.t, bound=1.0, empirical=float("nan"),

@@ -80,7 +80,10 @@ def main(argv=None) -> int:
         target = Path(args.artifacts)
         if not target.is_dir():
             return _fail(f"{target} is not a directory", args.json_errors)
-        text = emit_report(target)
+        try:
+            text = emit_report(target)
+        except ValueError as exc:  # a file that is not JSON or UTF-8 text
+            return _fail(f"{type(exc).__name__}: {exc}", args.json_errors)
         if args.out:
             Path(args.out).write_text(text)
         else:

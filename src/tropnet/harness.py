@@ -19,7 +19,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -51,7 +50,7 @@ from .stopping import (
     GammaSpec,
     select_layers,
 )
-from .tropical import count_linear_regions, polynomial_from_dict
+from .tropical import _finite, count_linear_regions, polynomial_from_dict
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -103,7 +102,7 @@ def _parse(options: dict, data, path: str, network) -> dict:
         if opt.build is not None:
             try:
                 value = opt.build(value)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(where, str(exc)) from exc
         out[key] = value
     return out
@@ -118,20 +117,13 @@ def _needed(message="missing required field", when=lambda options: True):
 
 
 def _number(v, network=None) -> bool:
-    try:
-        return type(v) in (int, float) and math.isfinite(v)
-    except OverflowError:  # an int past float range
-        return False
+    return _finite(v, 0) is not None
 
 
 def _array(v, ndim: int = 1) -> bool:
     """Is ``v`` a nonempty list that reads as a finite ``ndim``-d array?"""
-    try:
-        a = np.asarray(v, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        return False
-    return isinstance(v, list) and a.ndim == ndim and a.size > 0 \
-        and bool(np.isfinite(a).all())
+    a = _finite(v, ndim)
+    return isinstance(v, list) and a is not None and a.size > 0
 
 
 def _point(v, network) -> bool:
@@ -142,13 +134,18 @@ def _int(lo: int, default) -> _Opt:
     return _Opt(f"int >= {lo}", lambda v, net: type(v) is int and v >= lo, default)
 
 
-def _list(of: str, ok, default, nonempty=True) -> _Opt:
-    return _Opt(f"{'nonempty ' * nonempty}list of {of}", lambda v, net: isinstance(v, list)
-                and len(v) >= nonempty and all(ok(x, net) for x in v), default)
+def _list(of: str, ok, default) -> _Opt:
+    return _Opt(f"nonempty list of {of}", lambda v, net: isinstance(v, list)
+                and len(v) > 0 and all(ok(x, net) for x in v), default)
 
 
 def _str(default) -> _Opt:
     return _Opt("str", lambda v, net: isinstance(v, str), default)
+
+
+def _object(build, default=None) -> _Opt:
+    """An object that ``build`` reads; its errors name the object."""
+    return _Opt("object", lambda v, net: isinstance(v, dict), default, build)
 
 
 def _one_of(*names: str) -> _Opt:
@@ -161,16 +158,8 @@ _CONFIG = {
     "seed": _int(0, 0),
     "workers": _int(1, 1),
     "out": _str("artifacts"),
-    "network": _Opt("object", lambda v, net: isinstance(v, dict), None,
-                    network_spec_from_dict),
-    "score": _Opt("object", {
-        "kind": _str(ScoreSpec.kind),
-        "a": _Opt("number", _number, ScoreSpec.a),
-        "b": _Opt("number", _number, ScoreSpec.b),
-        "c": _Opt("number", _number, ScoreSpec.c),
-        "table": _list("[v, s] pairs", lambda v, net: _array(v) and len(v) == 2,
-                       ScoreSpec.table, nonempty=False),
-    }, ScoreSpec(), lambda o: ScoreSpec(**dict(o, table=tuple(map(tuple, o["table"]))))),
+    "network": _object(network_spec_from_dict),
+    "score": _object(lambda d: ScoreSpec(**d), ScoreSpec()),
 }
 
 
@@ -382,14 +371,15 @@ def _symbolic_region_count(network, seed, cap):
 def _run_regions(cfg: ExperimentConfig, out: _OutDir) -> int:
     poly, sample = cfg.options["polynomial"], cfg.options["sample"]
     if poly is not None:
-        # The grid oracle refuses d > 2 before any LP runs.
-        grid = count_linear_regions(poly, method="grid-oracle")
+        # The grid oracle is sound only for d <= 2; the exact count needs no grid.
         exact = count_linear_regions(poly, method="exact-lp")
-        out.write_csv("regions.csv", ["method", "count", "dim"],
-                      [["exact-lp", exact.count, exact.dim],
-                       ["grid-oracle", grid.count, grid.dim]])
-        out.write_json("regions.json", {"exact_lp": exact.count,
-                                        "grid_oracle": grid.count, "dim": exact.dim})
+        rows, counts = [["exact-lp", exact.count, exact.dim]], {"exact_lp": exact.count}
+        if exact.dim <= 2:
+            grid = count_linear_regions(poly, method="grid-oracle")
+            rows.append(["grid-oracle", grid.count, grid.dim])
+            counts["grid_oracle"] = grid.count
+        out.write_csv("regions.csv", ["method", "count", "dim"], rows)
+        out.write_json("regions.json", dict(counts, dim=exact.dim))
         return EXIT_OK
     if cfg.network.p != 1 or cfg.network.thresholds[-1] != "identity":
         raise ConfigError("config.network",
@@ -473,16 +463,9 @@ _COMMANDS = {
         "horizon": _int(1, _needed(when=_lsmc_on_network)),
         "y_star": _Opt("nonempty list of numbers", lambda v, net: _array(v),
                        _needed(when=_lsmc_on_network)),
-        "process": _Opt("object", {
-            "values": _list("nonempty lists of numbers", lambda v, net: _array(v),
-                            _needed()),
-            "initial": _Opt("nonempty list of numbers", lambda v, net: _array(v),
-                            _needed()),
-            "transitions": _list("matrices", lambda v, net: _array(v, 2), [],
-                                 nonempty=False),
-        }, _needed("exact induction needs a finite-support process",
-                   lambda o: o["method"] == "exact"),
-            lambda o: FiniteSupportProcess(**o)),
+        "process": _object(lambda d: FiniteSupportProcess(**d), _needed(
+            "exact induction needs a finite-support process",
+            lambda o: o["method"] == "exact")),
         "basis_degree": _int(1, 3),
         "penalty_c": _Opt("number > 0", lambda v, net: _number(v) and v > 0,
                           GammaSpec.penalty_c),
@@ -495,9 +478,9 @@ _COMMANDS = {
             "b1": _int(2, None),
             "t_grid": _list("numbers", _number, None),
         }),
-        "polynomial": _Opt("object", lambda v, net: isinstance(v, dict), _needed(
+        "polynomial": _object(polynomial_from_dict, _needed(
             "regions needs a polynomial or a sample block",
-            lambda o: o["sample"] is None), polynomial_from_dict),
+            lambda o: o["sample"] is None)),
     }, lambda section: "sample" in section, _run_regions),
     "mgale-check": _Command({
         "source": _one_of("random-walk", "network"),
@@ -519,20 +502,15 @@ SUBCOMMANDS = tuple(_COMMANDS)
 # Report
 # ---------------------------------------------------------------------------
 
-_KNOWN_ARTIFACTS = ("bound_reports.csv", "walk_reports.csv", "mgale_reports.csv",
-                    "region_reports.csv", "audit.csv", "regions.csv",
-                    "selection.json", "envelope.csv", "runs.csv",
-                    "grade_report.json")
-
-
 def emit_report(artifact_dir) -> str:
     """Render a markdown summary of the artifacts in a directory.
 
     Pure function of the artifact contents: regenerating from the same
     files is byte-identical.  The manifest's files are rendered, or every
-    known artifact when there is no manifest; a missing one is flagged as
-    a gap rather than an error.  Files the manifest does not list, such as
-    those of an earlier run into the same directory, are left out.
+    CSV and JSON file of the directory when there is no manifest; a listed
+    file that is missing is flagged as a gap rather than an error.  Files
+    the manifest does not list, such as those of an earlier run into the
+    same directory, are left out.
     """
     out = Path(artifact_dir)
     lines = ["# Run report", ""]
@@ -545,7 +523,8 @@ def emit_report(artifact_dir) -> str:
         expected = sorted(manifest["files"])
     else:
         lines += ["- GAP: manifest.json missing", ""]
-        expected = _KNOWN_ARTIFACTS
+        expected = sorted(path.name for path in out.iterdir()
+                          if path.suffix in (".csv", ".json") and path.is_file())
 
     found_any = False
     for name in expected:

@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .networks import NetworkSpec, SpecError, simulate_layer_outputs
+from .tropical import _finite
 
 
 class StoppingError(ValueError):
@@ -98,6 +99,15 @@ def gamma_value(spec: GammaSpec, layer, loss):
 # Finite-support processes
 # ---------------------------------------------------------------------------
 
+def _stage_array(value, name: str, ndim: int) -> np.ndarray:
+    """A nonempty ``ndim``-d array of finite numbers (utilities are integrable)."""
+    arr = _finite(value, ndim)
+    if arr is None or arr.size == 0:
+        raise StoppingError(f"{name}: expected a nonempty {ndim}-d array of finite "
+                            f"numbers, got {value!r:.80}")
+    return arr
+
+
 @dataclass(frozen=True)
 class FiniteSupportProcess:
     """Markov utility process with finitely many atoms per stage.
@@ -111,12 +121,14 @@ class FiniteSupportProcess:
 
     values: tuple
     initial: tuple
-    transitions: tuple
+    transitions: tuple = ()
 
     def __post_init__(self):
-        values = tuple(np.asarray(v, dtype=float) for v in self.values)
-        initial = np.asarray(self.initial, dtype=float)
-        transitions = tuple(np.asarray(t, dtype=float) for t in self.transitions)
+        if not (np.iterable(self.values) and np.iterable(self.transitions)):
+            raise StoppingError("values and transitions must be sequences of arrays")
+        values = tuple(_stage_array(v, "values", 1) for v in self.values)
+        initial = _stage_array(self.initial, "initial", 1)
+        transitions = tuple(_stage_array(t, "transitions", 2) for t in self.transitions)
         if len(values) < 1:
             raise StoppingError("need at least one stage")
         if len(transitions) != len(values) - 1:
@@ -133,8 +145,6 @@ class FiniteSupportProcess:
                 raise StoppingError(f"transition {l} has shape {t.shape}")
             if np.max(np.abs(t.sum(axis=1) - 1.0)) > 1e-9:
                 raise StoppingError(f"transition {l} rows must sum to 1")
-        if not all(np.all(np.isfinite(v)) for v in values):
-            raise StoppingError("utilities must be finite (integrability)")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "transitions", transitions)

@@ -128,6 +128,16 @@ def _numbers(value) -> np.ndarray:
     return arr
 
 
+def _finite(value, ndim: int) -> np.ndarray | None:
+    """``value`` as a float array of ``ndim`` dimensions whose entries are
+    finite numbers by ``_numbers``' rule, or None when it is not one."""
+    try:
+        arr = _numbers(value).astype(float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return arr if arr.ndim == ndim and np.isfinite(arr).all() else None
+
+
 class TropicalPolynomial:
     """Finite tropical sum (max) of monomials c + alpha · x over a common dimension.
 

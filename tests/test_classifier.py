@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from tropnet.classifier import (
-    DecisionBoundaryError,
     ScoreSpec,
     disagreement_audit,
     expected_classify,
@@ -121,8 +120,10 @@ class TestExpectedClassify:
         assert d2.error_bound == pytest.approx(math.exp(-2 * 0.75 ** 2), abs=1e-12)
 
     def test_boundary_error(self):
-        with pytest.raises(DecisionBoundaryError):
-            expected_classify(0.5, ScoreSpec())
+        # An estimate on c has no class: it abstains at t = 0, whatever its se.
+        for se in (0.0, 0.01):
+            d = expected_classify(0.5, ScoreSpec(), se=se)
+            assert (d.label, d.t, d.error_bound) == ("abstain", 0.0, 1.0)
 
     def test_abstention_band(self):
         d = expected_classify(0.5005, ScoreSpec(), se=0.01)

@@ -11,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tropnet
 import tropnet.cli
 import tropnet.harness as harness
-import tropnet.tropical
 from tropnet.bounds import BoundReport
+from tropnet.classifier import ScoreSpec
 from tropnet.cli import main
 from tropnet.harness import (
     EXIT_ERROR,
@@ -35,7 +37,7 @@ from tropnet.networks import (
     run_symbolic,
 )
 from tropnet.seeding import item_seed
-from tropnet.tropical import TropicalError
+from tropnet.stopping import FiniteSupportProcess
 
 
 def network_dict(widths=(2, 3, 3), last_identity=False):
@@ -107,6 +109,11 @@ OVERFLOWING_BIAS = {"widths": [2, 3, 3, 1], "r": 2, "thresholds": ["relu", "relu
                     "bias_dist": {"kind": "bounded-uniform-real", "lo": -8e307, "hi": 8e307}}
 
 
+#: A classify config on one point of a scalar-output network.
+CLASSIFY_ON_ONE_POINT = {"network": network_dict(widths=(2, 3, 1), last_identity=True),
+                         "classify": {"n": 1000, "inputs": [[0.0, 0.0]]}}
+
+
 def regions_polynomial(d, *monomials):
     """A regions config on the polynomial of (c, alpha) monomials."""
     return {"regions": {"polynomial": {
@@ -134,13 +141,6 @@ INVALID_CONFIGS = {
                                 "config.regions.polynomial: an exponent must be a number"),
     "polynomial-bool-alpha": ("regions", regions_polynomial(1, (0.0, [True]), (0.0, [0])),
                               "config.regions.polynomial: an exponent must be a number"),
-    # The grid oracle holds 401**d points: past d = 2 it refuses before any LP.
-    "polynomial-grid-d3": ("regions", regions_polynomial(
-        3, (0.0, [1, 0, 0]), (0.0, [0, 1, 0]), (0.0, [0, 0, 1])),
-        "TropicalError: the grid oracle is sound only for d <= 2, got d = 3"),
-    "polynomial-grid-d40": ("regions", regions_polynomial(
-        40, (0.0, [1] + [0] * 39), (0.0, [0] * 40)),
-        "TropicalError: the grid oracle is sound only for d <= 2, got d = 40"),
     "select-layers-few-trajectories": ("select-layers", {
         "network": network_dict(widths=(2, 3, 1), last_identity=True),
         "select_layers": {"method": "lsmc", "horizon": 2, "y_star": [1.0],
@@ -219,7 +219,35 @@ INVALID_CONFIGS = {
         "method": "lsmc", "horizon": 3, "y_star": [1.0]}}, "config.network"),
     "process-without-initial": ("select-layers", {"select_layers": {
         "method": "exact", "process": {"values": [[1.0]]}}},
-        "config.select_layers.process.initial"),
+        "config.select_layers.process: FiniteSupportProcess.__init__() missing 1 "
+        "required positional argument: 'initial'"),
+    # Score and process objects are read into ScoreSpec and
+    # FiniteSupportProcess, and every list of numbers holds JSON numbers only.
+    "score-misspelled-key": ("classify", dict(
+        CLASSIFY_ON_ONE_POINT, score={"kind": "sigmoid", "cc": 0.9}),
+        "config.score: ScoreSpec.__init__() got an unexpected keyword argument 'cc'"),
+    "score-string-threshold": ("classify", dict(CLASSIFY_ON_ONE_POINT, score={"c": "0.4"}),
+                               "config.score: c must be a real number"),
+    "score-table-string-and-bool": ("classify", dict(CLASSIFY_ON_ONE_POINT, score={
+        "kind": "table", "table": [["0", 0.2], [1.0, True]]}),
+        "config.score: table must be a list of [v, s] number pairs"),
+    "process-misspelled-key": ("select-layers", {"select_layers": {
+        "method": "exact", "process": {"values": [[1.0]], "initial": [1.0],
+                                       "transitons": []}}},
+        "config.select_layers.process: FiniteSupportProcess.__init__() got an "
+        "unexpected keyword argument 'transitons'"),
+    "process-string-and-bool-values": ("select-layers", {"select_layers": {
+        "method": "exact", "process": {"values": [["1", True]], "initial": [0.5, 0.5]}}},
+        "config.select_layers.process: values: expected a nonempty 1-d array"),
+    "classify-string-and-bool-inputs": ("classify", dict(
+        CLASSIFY_ON_ONE_POINT, classify={"n": 1000, "inputs": [["0.5", True]]}),
+        "config.classify.inputs: expected"),
+    "gamma-strings-and-bool": ("select-layers", {"select_layers": {
+        "method": "deterministic", "gamma": ["1", True, "3.5"]}},
+        "config.select_layers.gamma: expected"),
+    "network-int-past-float-range": ("simulate", with_network(bias_dist={
+        "kind": "bounded-uniform-real", "lo": 0.0, "hi": 10 ** 400}),
+        "config.network: int too large to convert to float"),
     # Network and law objects are read field by field into their dataclasses:
     # a wrong type, an undeclared key or a missing required one names its field.
     "network-r-fraction": ("simulate", with_network(r=2.5), "config.network: r must be"),
@@ -422,17 +450,94 @@ def test_readme_documents_every_option():
     keys = list(schema_keys(harness._CONFIG))
     for name, command in harness._COMMANDS.items():
         keys += schema_keys(command.options, name.replace("-", "_") + ".")
-    assert len(keys) > 40
+    # The score and process objects are declared by their dataclasses' fields.
+    fields = [f.name for cls in (ScoreSpec, FiniteSupportProcess)
+              for f in dataclasses.fields(cls)]
+    assert len(keys) + len(fields) > 40
     missing = [key for key in keys if f"`{key}`" not in readme]
     assert not missing, f"options missing from the README's table: {missing}"
 
 
 def test_readme_documents_every_network_field():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    names = [f.name for cls in (NetworkSpec, DistributionSpec)
-             for f in dataclasses.fields(cls)]
+    names = [f.name for cls in (NetworkSpec, DistributionSpec, ScoreSpec,
+                                FiniteSupportProcess) for f in dataclasses.fields(cls)]
     missing = [name for name in names if f"| `{name}` |" not in readme]
-    assert not missing, f"fields missing from the README's network table: {missing}"
+    assert not missing, f"fields missing from the README's field tables: {missing}"
+
+
+#: JSON scalars: numbers up to the edge of double range and past it, strings,
+#: booleans and null.
+JSON_SCALARS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([1e308, -1e308]),
+    st.integers(-3, 3), st.integers(), st.sampled_from([10 ** 400]),
+    st.text(max_size=3), st.booleans(), st.none())
+#: Any JSON value, nested lists and objects included.
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+                           max_leaves=10)
+#: Numbers in [0, 1], the atoms of values near the valid ones.
+UNIT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1, 0.5]))
+
+
+def near_valid(valid):
+    """``valid`` values, or any JSON value."""
+    return st.one_of(valid, JSON_VALUES)
+
+
+def config_object(valid: list, fields: dict):
+    """One of the ``valid`` objects with some of ``fields``' keys redrawn, at
+    times with an undeclared key."""
+    changes = st.fixed_dictionaries({}, optional={
+        **{key: near_valid(value) for key, value in fields.items()}, "extra": JSON_VALUES})
+    return st.builds(lambda base, change: {**base, **change}, st.sampled_from(valid),
+                     changes)
+
+
+def drawn_configs():
+    """(subcommand, config, section path) of drawn score and process objects
+    and of every list-of-numbers option."""
+    scores = config_object([{}, {"kind": "clamped-identity", "a": -1, "b": 1, "c": 0}, {
+        "kind": "table", "table": [[-1, 0.0], [1, 1.0]]}], {
+        "kind": st.sampled_from(["sigmoid", "clamped-identity", "table"]),
+        "a": st.sampled_from([0, 0.0, -1.0]), "b": st.sampled_from([1, 1.0, 2.0]),
+        "c": UNIT, "table": st.lists(st.lists(UNIT, min_size=2, max_size=2), max_size=3)})
+    processes = config_object([{"values": [[1.0]], "initial": [1.0]}, {
+        "values": [[0.2, 1.0], [0.5]], "initial": [0.5, 0.5],
+        "transitions": [[[1.0], [1.0]]]}], {
+        "values": st.lists(st.lists(UNIT, min_size=1, max_size=2), min_size=1, max_size=3),
+        "initial": st.sampled_from([[1.0], [0.5, 0.5]]),
+        "transitions": st.sampled_from([[], [[[1.0]]], [[[0.5, 0.5], [0.5, 0.5]]]])})
+    numbers = near_valid(st.lists(near_valid(st.lists(UNIT, min_size=1, max_size=3)),
+                                  min_size=1, max_size=3)
+                         | st.lists(UNIT, min_size=1, max_size=3))
+    scalar_net = CLASSIFY_ON_ONE_POINT["network"]
+    return st.sampled_from([
+        scores.map(lambda v: ("classify", dict(CLASSIFY_ON_ONE_POINT, score=v),
+                              "config.score")),
+        processes.map(lambda v: ("select-layers", {"select_layers": {
+            "method": "exact", "process": v}}, "config.select_layers.process")),
+        numbers.map(lambda v: ("classify", {"network": scalar_net,
+                                            "classify": {"inputs": v}},
+                               "config.classify.inputs")),
+        numbers.map(lambda v: ("simulate", {"network": network_dict(),
+                                            "simulate": {"input": v}},
+                               "config.simulate.input")),
+        numbers.map(lambda v: ("select-layers", {"select_layers": {
+            "method": "deterministic", "gamma": v}}, "config.select_layers.gamma")),
+        numbers.map(lambda v: ("select-layers", {"network": scalar_net, "select_layers": {
+            "method": "lsmc", "horizon": 2, "y_star": v}}, "config.select_layers.y_star")),
+    ]).flatmap(lambda section: section)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(drawn_configs())
+def test_drawn_config_parses_or_names_its_section(case):
+    subcommand, config, path = case
+    try:
+        parse_config(subcommand, config)
+    except ConfigError as exc:
+        assert str(exc).startswith(path + ": "), exc
 
 
 class TestArtifactWriter:
@@ -544,15 +649,16 @@ class TestSubcommands:
                          parse_constant=reject)
         assert sel["value"] == "inf" and sel["S"] == ["inf", "inf"]
 
-    def test_regions_past_d2_runs_no_lp_and_writes_no_data(self, tmp_path, monkeypatch):
-        calls = []
-        monkeypatch.setattr(tropnet.tropical, "linprog", lambda *a, **k: calls.append(1))
+    def test_regions_polynomial_past_d2_counts_without_the_grid(self, tmp_path):
+        # The grid oracle is sound only for d <= 2; the exact count needs no grid.
         cfg = parse_config("regions", regions_polynomial(
-            3, (0.0, [1, 0, 0]), (0.0, [0, 1, 0]), (0.0, [0, 0, 0])))
-        with pytest.raises(TropicalError, match="d <= 2"):
-            run_subcommand("regions", cfg, out_dir=tmp_path)
-        assert not calls and not list(tmp_path.glob("*.csv")) \
-            and not list(tmp_path.glob("*.json"))
+            3, (0.0, [1, 0, 0]), (0.0, [0, 1, 0]), (0.0, [0, 0, 1])))
+        code, _ = run_subcommand("regions", cfg, out_dir=tmp_path)
+        assert code == EXIT_OK
+        assert json.loads((tmp_path / "regions.json").read_text()) == \
+            {"exact_lp": 3, "dim": 3}
+        assert (tmp_path / "regions.csv").read_text().splitlines() == \
+            ["method,count,dim", "exact-lp,3,3"]
 
     def test_regions_polynomial(self, tmp_path):
         cfg = parse_config("regions", {"regions": {"polynomial": {
@@ -788,6 +894,23 @@ class TestReport:
         text = emit_report(tmp_path)
         assert "## runs.csv" in text and "## runs.json" in text
         assert "bound_reports" not in text
+
+    def test_report_without_manifest_renders_the_directory(self, tmp_path, capsys):
+        cfg = parse_config("simulate", {"network": network_dict(), "simulate": {"n": 1}})
+        run_subcommand("simulate", cfg, out_dir=tmp_path)
+        (tmp_path / "manifest.json").unlink()
+        (tmp_path / "runs.csv").unlink()
+        code = main(["report", str(tmp_path)])
+        text = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "## runs.json" in text and "runs.csv" not in text
+        assert text.count("GAP") == 1 and "No artifacts found." not in text
+
+    def test_report_on_a_file_that_is_not_json_is_one_error(self, tmp_path, capsys):
+        (tmp_path / "notes.json").write_text("{bad")
+        code = main(["report", str(tmp_path), "--json-errors"])
+        assert code == EXIT_ERROR
+        assert json.loads(capsys.readouterr().out)["error"].startswith("JSONDecodeError: ")
 
     def test_cli_report(self, tmp_path, capsys):
         cfg = parse_config("simulate", {"network": network_dict(),
