@@ -58,15 +58,19 @@ class ScoreSpec:
         object.__setattr__(self, "table", tuple(map(tuple, table.tolist())))
         if not self.a < self.c < self.b:
             raise ScoreSpecError(f"need a < c < b, got a={self.a}, c={self.c}, b={self.b}")
+        if not math.isfinite(self.b - self.a):
+            raise ScoreSpecError(f"score range [{self.a}, {self.b}] is wider than "
+                                 f"double precision")
         if self.kind == "sigmoid" and (self.a, self.b) != (0.0, 1.0):
             raise ScoreSpecError("sigmoid scores have range closure [0, 1]")
         if self.kind == "table":
             if len(table) < 2:
                 raise ScoreSpecError("table scores need at least two knots")
             vs, ss = table.T
-            if np.any(np.diff(vs) <= 0):
+            # Compared, not differenced: knots far apart would overflow.
+            if np.any(vs[1:] <= vs[:-1]):
                 raise ScoreSpecError("table knots must be strictly increasing in v")
-            if np.any(np.diff(ss) <= 0):
+            if np.any(ss[1:] <= ss[:-1]):
                 raise ScoreSpecError("table scores must be strictly increasing")
             if ss.min() < self.a or ss.max() > self.b:
                 raise ScoreSpecError("table values leave the declared range [a, b]")
@@ -104,15 +108,22 @@ class ExpectedDecision:
 
 def expected_score(spec: NetworkSpec, score_spec: ScoreSpec, x,
                    n: int = 10_000, seed: int = 0):
-    """Monte Carlo estimate of E[s(nu(x))] over n network draws at fixed x."""
+    """Monte Carlo estimate of E[s(nu(x))] over n network draws at fixed x.
+
+    The mean and standard error are taken of the score rescaled to [0, 1]
+    and mapped back, so that no sum over the draws overflows.
+    """
     if spec.p != 1:
         raise ScoreSpecError(f"the expected classifier needs a scalar output, "
                              f"got width {spec.p}")
     if n < 1000:
         raise ValueError(f"need n >= 1000 draws, got {n}")
     [nu] = simulate_layer_outputs(spec, n, seed, x=x, tag="score", stat=_output)
-    s = np.asarray(score(score_spec, nu))
-    return float(s.mean()), float(s.std(ddof=1) / math.sqrt(n))
+    a, b = score_spec.a, score_spec.b
+    u = (np.asarray(score(score_spec, nu)) - a) / (b - a)
+    # Mapped back, a mean of 1 can round an ulp past b.
+    estimate = min(max(a + (b - a) * float(u.mean()), a), b)
+    return estimate, float((b - a) * u.std(ddof=1) / math.sqrt(n))
 
 
 def _output(nus):
@@ -136,7 +147,8 @@ def expected_classify(estimate: float, score_spec: ScoreSpec,
     if not exceeds(t, se, 0.0):
         return ExpectedDecision(estimate=estimate, se=se, label="abstain",
                                 t=t, error_bound=1.0)
-    p = min(math.exp(-2.0 * t * t / ((b - a) ** 2)), 1.0)
+    u = t / (b - a)  # (b - a) ** 2 may overflow
+    p = min(math.exp(-2.0 * u * u), 1.0)
     label = "C1" if estimate > c else "C2"
     return ExpectedDecision(estimate=estimate, se=se, label=label, t=t,
                             error_bound=p)

@@ -188,24 +188,14 @@ class DistributionSpec:
 
     # -- sampling ---------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator, size,
-               z_shared=None, rho: float = 0.0, dtype=None) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size, dtype=None) -> np.ndarray:
         """Draw an array of the given shape.
 
-        With a shared Gaussian driver ``z_shared`` and mixing weight
-        ``rho``, draws go through a Gaussian copula so that repeated calls
-        within one run are positively correlated.  Draws are float unless
-        ``dtype`` names an integer type: a bounded-uniform-integer law
-        drawn without the copula then returns integers of that type.
+        Draws are float unless ``dtype`` names an integer type: a
+        bounded-uniform-integer law then returns integers of that type.
         """
         if self.has_vector_atoms:
             raise SpecError("vector-atom spec sampled where scalars are expected")
-        if z_shared is not None and rho != 0.0:
-            from scipy.special import ndtr  # slow to import; copula only
-
-            z = rho * np.asarray(z_shared) + np.sqrt(1.0 - rho ** 2) \
-                * rng.standard_normal(size)
-            return self._from_uniform(np.clip(ndtr(z), 1e-12, 1 - 1e-12), rng)
         if self.kind == "bounded-uniform-integer":
             out = rng.integers(int(self.lo), int(self.hi), size=size, endpoint=True,
                                dtype=dtype or np.int64)
@@ -213,26 +203,15 @@ class DistributionSpec:
         if self.kind == "bounded-uniform-real":
             return rng.uniform(self.lo, self.hi, size=size)
         if self.kind == "truncated-gaussian":
-            if self.window_mass < MIN_REJECTION_MASS:
-                return self._from_uniform(rng.uniform(size=size), rng)
-            return self._rejection_truncnorm(rng, size)
-        idx = rng.choice(len(self.values), size=size, p=np.asarray(self.probs))
-        return np.asarray(self.values, dtype=float)[idx]
-
-    def _from_uniform(self, u: np.ndarray, rng) -> np.ndarray:
-        if self.kind == "bounded-uniform-integer":
-            n = int(self.hi) - int(self.lo) + 1
-            return (np.floor(self.lo + u * n)).clip(self.lo, self.hi)
-        if self.kind == "bounded-uniform-real":
-            return self.lo + u * (self.hi - self.lo)
-        if self.kind == "truncated-gaussian":
+            if self.window_mass >= MIN_REJECTION_MASS:
+                return self._rejection_truncnorm(rng, size)
             from scipy.stats import truncnorm  # slow to import; rarely needed
 
             a = (self.lo - self.mu) / self.sigma
             b = (self.hi - self.mu) / self.sigma
-            return truncnorm.ppf(u, a, b, loc=self.mu, scale=self.sigma)
-        cum = np.cumsum(self.probs)
-        idx = np.searchsorted(cum, u, side="right").clip(0, len(self.values) - 1)
+            return truncnorm.ppf(rng.uniform(size=size), a, b, loc=self.mu,
+                                 scale=self.sigma)
+        idx = rng.choice(len(self.values), size=size, p=np.asarray(self.probs))
         return np.asarray(self.values, dtype=float)[idx]
 
     def _rejection_truncnorm(self, rng, size) -> np.ndarray:
@@ -313,7 +292,6 @@ class NetworkSpec:
     weight_overrides: tuple = ()
     bias_overrides: tuple = ()
     input_box: tuple | None = None
-    copula_rho: float = 0.0
 
     def __post_init__(self):
         if not (isinstance(self.widths, (tuple, list)) and all(map(_is_int, self.widths))):
@@ -360,10 +338,6 @@ class NetworkSpec:
         for _, dist in self.weight_overrides:
             if not dist.is_integer:
                 raise SpecError("weight overrides must be integer-valued")
-        rho = self.copula_rho
-        if not (isinstance(rho, numbers.Real) and not isinstance(rho, bool)
-                and -1.0 <= rho <= 1.0):
-            raise SpecError(f"copula_rho must lie in [-1, 1], got {rho!r:.80}")
         self.coeff_specs()  # raises unless one law or one per input coordinate
         for spec in self.exponent_specs():
             _validate_exponent_spec(spec, "exponent distribution")
@@ -495,7 +469,7 @@ def _batch_weight_dtype(dist: DistributionSpec):
     return np.int8 if _INT8.min <= dist.lo and dist.hi <= _INT8.max else np.int64
 
 
-def _draw_init(spec: NetworkSpec, rng, n: int, z_shared):
+def _draw_init(spec: NetworkSpec, rng, n: int):
     """Initialization arrays of ``n`` draws, yielded per input coordinate.
 
     Coordinate j gives ``(c, alpha, c_g, alpha_g)``: coefficients of shape
@@ -504,22 +478,20 @@ def _draw_init(spec: NetworkSpec, rng, n: int, z_shared):
     Identity initialization draws nothing and gives F0_j(x) = x_j, G0_j(x) = 0.
     """
     d, r = spec.d, spec.r
-    rho = spec.copula_rho
-    z = z_shared[:, None] if z_shared is not None else None
     coeffs, exponents = spec.coeff_specs(), spec.exponent_specs()
     for j in range(d):
         if spec.init_mode == "identity":
             zeros = np.zeros((n, 1))
             yield zeros, np.tile(np.eye(d)[j], (n, 1, 1)), zeros, np.zeros((n, 1, d))
         else:
-            c = coeffs[j].sample(rng, (n, r), z, rho)
-            c_g = coeffs[j].sample(rng, (n, r), z, rho)
+            c = coeffs[j].sample(rng, (n, r))
+            c_g = coeffs[j].sample(rng, (n, r))
             alpha = exponents[j].sample_exponents(rng, (n, r), d)
             alpha_g = exponents[j].sample_exponents(rng, (n, r), d)
             yield c, alpha, c_g, alpha_g
 
 
-def _draw_layer(spec: NetworkSpec, layer: int, rng, n: int, z_shared) -> LayerSample:
+def _draw_layer(spec: NetworkSpec, layer: int, rng, n: int) -> LayerSample:
     """Weights, bias and threshold of layer ``layer`` (1-based) for ``n`` draws.
 
     ``a`` has shape (n, n_out, n_in) in the dtype ``_batch_weight_dtype``
@@ -527,15 +499,12 @@ def _draw_layer(spec: NetworkSpec, layer: int, rng, n: int, z_shared) -> LayerSa
     mode fixes it, when one row (1, n_out) serves every draw.
     """
     n_out, n_in = spec.widths[layer], spec.widths[layer - 1]
-    rho = spec.copula_rho
-    zmat = z_shared[:, None, None] if z_shared is not None else None
-    zvec = z_shared[:, None] if z_shared is not None else None
     w = spec.weight_dist_for(layer)
-    a = w.sample(rng, (n, n_out, n_in), zmat, rho, dtype=_batch_weight_dtype(w))
-    b = spec.bias_dist_for(layer).sample(rng, (n, n_out), zvec, rho)
+    a = w.sample(rng, (n, n_out, n_in), dtype=_batch_weight_dtype(w))
+    b = spec.bias_dist_for(layer).sample(rng, (n, n_out))
     mode = spec.threshold_mode(layer)
     if mode == "random":
-        t = spec.threshold_dist.sample(rng, (n, n_out), zvec, rho)
+        t = spec.threshold_dist.sample(rng, (n, n_out))
     else:
         t = np.full((1, n_out), 0.0 if mode == "relu" else -np.inf)
     return LayerSample(a, b, t)
@@ -549,10 +518,8 @@ def sample_network(spec: NetworkSpec, seed: int) -> NetworkSample:
     tag="network")`` runs this network at ``x``.
     """
     rng = stream(seed, "network")
-    z_shared = rng.standard_normal(1) if spec.copula_rho != 0.0 else None
-
-    init = list(_draw_init(spec, rng, 1, z_shared))
-    batches = [_draw_layer(spec, l, rng, 1, z_shared) for l in range(1, spec.depth + 1)]
+    init = list(_draw_init(spec, rng, 1))
+    batches = [_draw_layer(spec, l, rng, 1) for l in range(1, spec.depth + 1)]
     return NetworkSample(f0=tuple(TropicalPolynomial(alpha[0], c[0])
                                   for c, alpha, _, _ in init),
                          g0=tuple(TropicalPolynomial(alpha_g[0], c_g[0])
@@ -707,16 +674,15 @@ def _draw_inputs(spec: NetworkSpec, rng, n: int) -> np.ndarray:
 
 def _batch_block(spec: NetworkSpec, rng, n: int, x: np.ndarray | None):
     """Simulate ``n`` independent draws; returns per-layer nu arrays 1..L."""
-    z_shared = rng.standard_normal(n) if spec.copula_rho != 0.0 else None
     xb = np.tile(x, (n, 1)) if x is not None else _draw_inputs(spec, rng, n)
     nu = np.empty((n, spec.d))
-    for j, (c, alpha, c_g, alpha_g) in enumerate(_draw_init(spec, rng, n, z_shared)):
+    for j, (c, alpha, c_g, alpha_g) in enumerate(_draw_init(spec, rng, n)):
         nu[:, j] = np.max(c + np.einsum("nrd,nd->nr", alpha, xb), axis=1) \
             - np.max(c_g + np.einsum("nrd,nd->nr", alpha_g, xb), axis=1)
     nus = []
     for l in range(1, spec.depth + 1):
         # One layer at a time: a wide block's weights are large.
-        nu = forward_relu_direct(nu, _draw_layer(spec, l, rng, n, z_shared))
+        nu = forward_relu_direct(nu, _draw_layer(spec, l, rng, n))
         nus.append(nu)
     return nus
 

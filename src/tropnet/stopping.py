@@ -135,9 +135,10 @@ class FiniteSupportProcess:
             raise StoppingError("need one transition matrix between consecutive stages")
         if initial.shape != (values[0].shape[0],):
             raise StoppingError("initial law does not match stage-0 support")
+        # Checked before any sum, which entries past 1 could overflow.
         for probs in (initial, *[t.ravel() for t in transitions]):
-            if np.any(probs <= 0):
-                raise StoppingError("support probabilities must be positive")
+            if np.any((probs <= 0) | (probs > 1)):
+                raise StoppingError("support probabilities must lie in (0, 1]")
         if abs(initial.sum() - 1.0) > 1e-9:
             raise StoppingError("initial law must sum to 1")
         for l, t in enumerate(transitions):

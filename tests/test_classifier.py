@@ -1,12 +1,14 @@
 """Score functions, the expected classifier, and disagreement audits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from tropnet.classifier import (
     ScoreSpec,
+    ScoreSpecError,
     disagreement_audit,
     expected_classify,
     expected_score,
@@ -17,6 +19,7 @@ from tropnet.networks import (
     NetworkSpec,
     degenerate,
     reference_classifier_spec,
+    uniform_real,
 )
 
 
@@ -49,6 +52,15 @@ class TestScore:
             ScoreSpec(c=1.5)  # threshold outside (a, b)
         with pytest.raises(ValueError):
             ScoreSpec(kind="table", table=((0.0, 0.3), (1.0, 0.2)))  # not injective
+
+    def test_range_wider_than_double_precision_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScoreSpecError, match="wider than double precision"):
+                ScoreSpec(kind="table", a=-1e308, b=1e308, c=0.0,
+                          table=((-1e308, -1e308), (1e308, 1e308)))
+            # Knots far apart are a valid table; comparing them does not overflow.
+            ScoreSpec(kind="table", table=((-1e308, 0.0), (1e308, 1.0)))
 
 
 def deterministic_net(a=2.0, b=0.25):
@@ -85,6 +97,31 @@ class TestExpectedScore:
             e1, s1 = expected_score(net, ScoreSpec(), x, n=20_000, seed=10 + i)
             e2, s2 = expected_score(net, ScoreSpec(), x, n=20_000, seed=900 + i)
             assert abs(e1 - e2) <= 3 * math.sqrt(s1 ** 2 + s2 ** 2)
+
+    def test_wide_finite_range_gives_a_finite_estimate(self):
+        # Scores of 4e307..8e307: their sum over the draws leaves double range,
+        # the mean of the scores rescaled to [0, 1] does not.
+        net = NetworkSpec(widths=(1, 1), weight_dist=degenerate(1.0),
+                          bias_dist=uniform_real(0.5, 1.0), thresholds=("identity",),
+                          init_mode="identity", input_box=((-1.0, 1.0),))
+        spec = ScoreSpec(kind="table", a=-8e307, b=8e307, c=0.0,
+                         table=((-1.0, -8e307), (1.0, 8e307)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est, se = expected_score(net, spec, [0.0], n=2000, seed=4)
+            d = expected_classify(est, spec, se)
+        assert est == pytest.approx(6e307, rel=0.02)
+        assert 0.0 < se < 1e306
+        assert d.label == "C1"
+        assert d.error_bound == pytest.approx(math.exp(-2.0 * (est / 1.6e308) ** 2))
+
+    def test_estimate_at_the_top_of_the_range_stays_in_it(self):
+        # a + (b - a) is b + 1 ulp for this range; every draw scores b.
+        spec = ScoreSpec(kind="clamped-identity", a=-0.039434241329459184,
+                         b=0.9818687140176878, c=0.5)
+        est, se = expected_score(deterministic_net(b=5.0), spec, [0.0], n=1000)
+        assert est == spec.b and se == 0.0
+        assert expected_classify(est, spec, se).label == "C1"
 
     def test_vector_output_rejected(self):
         net = NetworkSpec(widths=(1, 2), weight_dist=degenerate(1.0),

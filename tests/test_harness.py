@@ -146,8 +146,9 @@ INVALID_CONFIGS = {
         "select_layers": {"method": "lsmc", "horizon": 2, "y_star": [1.0],
                           "n_trajectories": 10}},
         "config.select_layers.n_trajectories: expected int >= 1000"),
-    "copula-rho": ("bounds", with_network(copula_rho=2.0), "copula_rho"),
-    "copula-rho-nan": ("bounds", with_network(copula_rho=float("nan")), "copula_rho"),
+    "network-undeclared-copula-rho": ("bounds", with_network(copula_rho=0.5),
+                                      "config.network: NetworkSpec.__init__() got an "
+                                      "unexpected keyword argument 'copula_rho'"),
     "fractional-integer-bounds": ("bounds", with_network(weight_dist={
         "kind": "bounded-uniform-integer", "lo": 0.5, "hi": 2.5}), "integral bounds"),
     "override-layer-out-of-range": ("bounds", with_network(weight_overrides=[
@@ -315,7 +316,29 @@ INVALID_CONFIGS = {
 
 @pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
 def test_invalid_config_is_one_json_error(case, tmp_path, capsys):
-    subcommand, raw, fragment = INVALID_CONFIGS[case]
+    assert_one_json_error(*INVALID_CONFIGS[case], tmp_path, capsys)
+
+
+#: Numbers near the edge of double range, refused before any arithmetic on
+#: them overflows: each once printed numpy's RuntimeWarning before its error.
+OVERFLOWING_CONFIGS = {
+    "score-range-past-double": ("classify", dict(CLASSIFY_ON_ONE_POINT, score={
+        "kind": "table", "a": -1e308, "b": 1e308, "c": 0.0,
+        "table": [[-1e308, -1e308], [1e308, 1e308]]}),
+        "config.score: score range [-1e+308, 1e+308] is wider than double precision"),
+    "process-probabilities-past-one": ("select-layers", {"select_layers": {
+        "method": "exact", "process": {"values": [[1.0, 2.0]], "initial": [1e308, 1e308]}}},
+        "config.select_layers.process: support probabilities must lie in (0, 1]"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_CONFIGS))
+def test_overflow_is_refused_without_a_warning(case, tmp_path, capsys):
+    assert_one_json_error(*OVERFLOWING_CONFIGS[case], tmp_path, capsys)
+
+
+def assert_one_json_error(subcommand, raw, fragment, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     code = main([subcommand, "--config", str(path), "--json-errors",
@@ -445,8 +468,20 @@ def test_select_layers_must_be_an_object_before_flags_apply(tmp_path, capsys):
         "config.select_layers: expected an object")
 
 
+def readme_table(heading: str) -> list[str]:
+    """The sorted first-column names of the README table whose first
+    header is ``heading``."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index(f"| {heading} | type | default |") + 2
+    names = []
+    for line in lines[start:]:
+        if not line.startswith("| `"):
+            break
+        names.append(line.split("`")[1])
+    return sorted(names)
+
+
 def test_readme_documents_every_option():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     keys = list(schema_keys(harness._CONFIG))
     for name, command in harness._COMMANDS.items():
         keys += schema_keys(command.options, name.replace("-", "_") + ".")
@@ -454,16 +489,14 @@ def test_readme_documents_every_option():
     fields = [f.name for cls in (ScoreSpec, FiniteSupportProcess)
               for f in dataclasses.fields(cls)]
     assert len(keys) + len(fields) > 40
-    missing = [key for key in keys if f"`{key}`" not in readme]
-    assert not missing, f"options missing from the README's table: {missing}"
+    # Exactly the schema's keys: a missing option or a stale row fails.
+    assert readme_table("option") == sorted(keys)
 
 
 def test_readme_documents_every_network_field():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    names = [f.name for cls in (NetworkSpec, DistributionSpec, ScoreSpec,
-                                FiniteSupportProcess) for f in dataclasses.fields(cls)]
-    missing = [name for name in names if f"| `{name}` |" not in readme]
-    assert not missing, f"fields missing from the README's field tables: {missing}"
+    for heading, cls in (("network field", NetworkSpec), ("law field", DistributionSpec),
+                         ("score field", ScoreSpec), ("process field", FiniteSupportProcess)):
+        assert readme_table(heading) == sorted(f.name for f in dataclasses.fields(cls)), heading
 
 
 #: JSON scalars: numbers up to the edge of double range and past it, strings,

@@ -230,14 +230,6 @@ class TestSampleLayer:
         with pytest.raises(SpecError, match=field):
             NetworkSpec(widths=(1, 1, 1), **{field: tuple((l, dist) for l in layers)})
 
-    @pytest.mark.parametrize("rho", [2.0, -1.5, float("nan")])
-    def test_copula_rho_outside_unit_interval_rejected(self, rho):
-        # Any such rho turns every Monte Carlo output into NaN.
-        with pytest.raises(SpecError, match="copula_rho"):
-            NetworkSpec(widths=(1, 1), copula_rho=rho)
-        for ok in (-1.0, 0.0, 1.0):
-            assert NetworkSpec(widths=(1, 1), copula_rho=ok).copula_rho == ok
-
     def test_per_layer_override(self):
         spec = NetworkSpec(widths=(1, 1, 1), weight_dist=degenerate(1.0),
                            bias_dist=degenerate(0.0),
@@ -346,14 +338,12 @@ def overflowing_spec() -> NetworkSpec:
                        thresholds=("relu", "relu", "identity"))
 
 
-LAW_KINDS = ["copula", "random-thresholds", "identity-init", "overrides",
+LAW_KINDS = ["random-thresholds", "identity-init", "overrides",
              "int64-weights", "finite-support-weights", "int8-weights"]
 
 
 def _law_family(kind: str) -> NetworkSpec:
     """One spec per sampling feature the batch-of-one identity must cover."""
-    if kind == "copula":
-        return replace(small_spec(widths=(2, 3, 3), r=3), copula_rho=0.8)
     if kind == "random-thresholds":
         return replace(small_spec(widths=(3, 4, 2)), thresholds=("random", "identity"),
                        threshold_dist=DistributionSpec("truncated-gaussian", lo=-1.0,
@@ -482,18 +472,6 @@ class TestBatchedSimulation:
             norms = np.linalg.norm(outs[l - 1], axis=1)
             assert norms.max() <= intervals[l].xi
 
-    def test_copula_correlation_keeps_bounds(self):
-        spec = NetworkSpec(widths=(2, 3, 3), r=2,
-                           weight_dist=uniform_int(-2, 2),
-                           bias_dist=uniform_real(-1, 1),
-                           coeff_dists=uniform_real(-1, 1),
-                           exponent_dists=uniform_int(0, 2),
-                           copula_rho=0.8)
-        outs = simulate_layer_outputs(spec, 2000, seed=3)
-        intervals = propagate_intervals(spec)
-        for l in range(1, spec.depth + 1):
-            assert np.linalg.norm(outs[l - 1], axis=1).max() <= intervals[l].xi
-
 
     def test_direct_block_step_matches_pair_step(self):
         rng = np.random.default_rng(3)
@@ -617,8 +595,7 @@ class TestSpecJson:
                                                            hi=0.5, mu=0.1, sigma=2.0),
                            weight_overrides=((1, degenerate(2.0)),),
                            bias_overrides=((2, DistributionSpec(
-                               "finite-support", values=(0.0, 1.0), probs=(0.25, 0.75))),),
-                           copula_rho=0.3)
+                               "finite-support", values=(0.0, 1.0), probs=(0.25, 0.75))),))
         assert through_json(spec) == spec
 
     @pytest.mark.parametrize("kind", LAW_KINDS)

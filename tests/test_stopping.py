@@ -1,6 +1,7 @@
 """Utility construction, backward induction, the oracle, and LSMC."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,16 @@ class TestExactInduction:
         with pytest.raises(StoppingError):
             FiniteSupportProcess(values=(np.array([1.0, 2.0]),),
                                  initial=np.array([1.0, 0.0]), transitions=())
+
+    def test_probabilities_past_one_refused_before_summing(self):
+        # Their sum would overflow with a RuntimeWarning before the error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StoppingError, match=r"must lie in \(0, 1\]"):
+                FiniteSupportProcess(values=((1.0, 2.0),), initial=(1e308, 1e308))
+            with pytest.raises(StoppingError, match=r"must lie in \(0, 1\]"):
+                FiniteSupportProcess(values=((1.0,), (1.0, 2.0)), initial=(1.0,),
+                                     transitions=(((1e308, 1e308),),))
 
     def test_stopped_envelope_is_a_martingale(self):
         for seed in range(10):
