@@ -39,8 +39,10 @@ from .tropical import (
     MonomialCapError,
     TropicalError,
     TropicalPolynomial,
+    ZERO,
+    _products,
+    constant_polynomial,
     poly_add,
-    poly_weighted_combine,
 )
 
 
@@ -304,17 +306,18 @@ class NetworkSpec:
             raise SpecError(f"r must be an int >= 1 (monomials per initial "
                             f"coordinate), got {self.r!r:.80}")
         if self.init_mode not in ("random", "identity"):
-            raise SpecError(f"unknown init_mode {self.init_mode!r}")
+            raise SpecError(f"init_mode must be 'random' or 'identity', "
+                            f"got {self.init_mode!r:.80}")
 
         thresholds = self.thresholds
         if isinstance(thresholds, str):
             thresholds = (thresholds,) * self.depth
         if not isinstance(thresholds, (tuple, list)) or len(thresholds) != self.depth:
-            raise SpecError(f"need one threshold mode per layer ({self.depth})")
+            raise SpecError(f"thresholds needs one mode per layer ({self.depth})")
         if any(t not in _THRESHOLD_MODES for t in thresholds):
-            raise SpecError(f"threshold modes must be in {_THRESHOLD_MODES}")
+            raise SpecError(f"thresholds must be modes in {_THRESHOLD_MODES}")
         if "random" in thresholds and self.threshold_dist is None:
-            raise SpecError("random thresholds need a threshold_dist")
+            raise SpecError("threshold_dist is needed by random thresholds")
         object.__setattr__(self, "thresholds", tuple(thresholds))
 
         _check_law(self.weight_dist, "weight_dist")
@@ -322,7 +325,7 @@ class NetworkSpec:
         if self.threshold_dist is not None:
             _check_law(self.threshold_dist, "threshold_dist")
         if not self.weight_dist.is_integer:
-            raise SpecError("weight matrices must be integer-valued")
+            raise SpecError("weight_dist must be integer-valued")
         for name in ("weight_overrides", "bias_overrides"):
             pairs = getattr(self, name)
             if not (isinstance(pairs, (tuple, list)) and all(
@@ -337,10 +340,10 @@ class NetworkSpec:
             object.__setattr__(self, name, tuple(map(tuple, pairs)))
         for _, dist in self.weight_overrides:
             if not dist.is_integer:
-                raise SpecError("weight overrides must be integer-valued")
+                raise SpecError("weight_overrides must be integer-valued")
         self.coeff_specs()  # raises unless one law or one per input coordinate
         for spec in self.exponent_specs():
-            _validate_exponent_spec(spec, "exponent distribution")
+            _validate_exponent_spec(spec, "exponent_dists")
 
         box = self.input_box
         if box is None:
@@ -642,24 +645,35 @@ def run_symbolic(spec: NetworkSpec, seed: int, cap: int = 10_000) -> SymbolicRun
 
 
 def _symbolic_layers(net: NetworkSample, cap: int):
-    """F and G polynomial vectors of layers 0..L of the draw ``net``."""
+    """F and G polynomial vectors of layers 0..L of the draw ``net``.
+
+    Output i of a layer is G_i = ⊙_j polys_j^{⊙w_ij} over polys = (G, F) of
+    the layer before, H_i the same over (F, G) from the bias b_i, and
+    F_i = H_i ⊕ t_i ⊙ G_i.  The weights w_i = (A⁺_i, A⁻_i) are nonnegative
+    ints by construction, so the layer's 2·n_out products go to one
+    ``_products`` call, under one key layout, without
+    ``poly_weighted_combine``'s checks.
+    """
     f_layers = [net.f0]
     g_layers = [net.g0]
+    zero = constant_polynomial(net.f0[0].dim, ZERO)
     for layer in net.layers:
         f_prev, g_prev = f_layers[-1], g_layers[-1]
-        polys = list(g_prev) + list(f_prev)
-        polys_swapped = list(f_prev) + list(g_prev)
-        f_new, g_new = [], []
-        halves = np.hstack([layer.a_plus, layer.a_minus]).astype(int)
-        for i, weights in enumerate(halves):
-            g_i = poly_weighted_combine(polys, weights, cap=cap)
-            h_i = poly_weighted_combine(polys_swapped, weights, bias=layer.b[i], cap=cap)
-            # An identity layer's threshold -inf is bottom: F = max(H, G + t) = H.
-            f_i = poly_add(h_i, g_i.shift(layer.t[i]))
-            f_new.append(f_i)
-            g_new.append(g_i)
-        f_layers.append(tuple(f_new))
-        g_layers.append(tuple(g_new))
+        polys = g_prev + f_prev
+        polys_swapped = f_prev + g_prev
+        rows = []
+        for b, weights in zip(layer.b.tolist(),
+                              np.hstack([layer.a_plus, layer.a_minus]).astype(int).tolist()):
+            rows.append((zero, [(p, w) for p, w in zip(polys, weights) if w]))
+            rows.append((constant_polynomial(zero.dim, b),
+                         [(p, w) for p, w in zip(polys_swapped, weights) if w]))
+        products = _products(rows, cap)
+        g_new = tuple(products[0::2])
+        # An identity layer's threshold -inf is bottom: F = max(H, G + t) = H.
+        f_new = tuple(poly_add(h_i, g_i.shift(t_i))
+                      for h_i, g_i, t_i in zip(products[1::2], g_new, layer.t.tolist()))
+        f_layers.append(f_new)
+        g_layers.append(g_new)
     return f_layers, g_layers
 
 

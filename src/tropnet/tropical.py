@@ -16,13 +16,15 @@ coefficient vector with -inf for bottom, whose rows one routine,
 producer.  ``TropicalPolynomial(alpha, coeff)`` checks such arrays.  A network's output is the
 difference f - g of two such polynomials.
 
-Products are one sorted-key Minkowski fold (``_minkowski_fold``): the
-exponent rows are packed into uint64 keys in a mixed radix sized by the
-product's degree bound, so each factor is one broadcast add of keys and
-coefficients and one ``_merge`` of the keys, and the rows are unpacked
-once at the end.  ``poly_mul`` is its two-factor case and
-``poly_weighted_combine`` folds every weighted factor from the bias row.
-An exponent past the int64 range is a ``TropicalError``.
+Products are one sorted-key Minkowski fold (``_minkowski_fold``) per row
+under one key layout per set of rows (``_products``), such as the 2·n_out
+combines of a symbolic layer.  The layout packs exponent rows into uint64
+keys in a mixed radix sized by the largest degree bound of the set's rows,
+and each polynomial of the set is packed once.  Each factor is then one
+broadcast add of keys and coefficients and one ``_merge`` of the keys,
+and each row is unpacked once at the end.  ``poly_weighted_combine`` and
+``poly_mul`` are its one-row cases.  An exponent past the int64 range is a
+``TropicalError``, raised before any row of the set is folded.
 
 The linear regions of a polynomial, and the monomials that pruning keeps,
 are the vertices of the upper convex hull of the lifted points
@@ -70,7 +72,10 @@ _MAX_EXPONENT = 2 ** 63 - 1
 
 
 def _scalar(a) -> float:
-    """``a`` as a tropical scalar: a real or BOTTOM, never NaN or +inf."""
+    """``a`` as a tropical scalar: a real or BOTTOM, never NaN, +inf or a
+    boolean."""
+    if isinstance(a, (bool, np.bool_)):
+        raise TropicalError(f"tropical scalars are numbers, not booleans: {a!r}")
     a = float(a)
     if math.isnan(a) or a == math.inf:
         raise TropicalError(f"tropical scalars are reals or BOTTOM (-inf), got {a}")
@@ -96,10 +101,14 @@ def _merge(cols: np.ndarray, coeff: np.ndarray, presorted: bool = False):
         return cols, coeff
     # lexsort is stable, and its last key is the primary one.
     order = np.lexsort(cols[::-1])
-    cols, coeff = cols[:, order], coeff[order]
-    first = np.ones(len(coeff), dtype=bool)
-    first[1:] = (cols[:, 1:] != cols[:, :-1]).any(axis=0)
-    starts = np.nonzero(first)[0]
+    cols, coeff = cols.take(order, axis=1), coeff.take(order)
+    first = np.empty(len(coeff), dtype=bool)
+    first[0] = True
+    if len(cols) == 1:  # one key word: skip the reduction over rows
+        np.not_equal(cols[0, 1:], cols[0, :-1], out=first[1:])
+    else:
+        np.logical_or.reduce(cols[:, 1:] != cols[:, :-1], axis=0, out=first[1:])
+    starts = np.flatnonzero(first)
     best = np.maximum.reduceat(coeff, starts)
     if not best.all():
         # Which of 0.0 and -0.0 np.maximum returns depends on its vector
@@ -108,7 +117,7 @@ def _merge(cols: np.ndarray, coeff: np.ndarray, presorted: bool = False):
         run = np.cumsum(first)[zero] - 1
         hit = np.r_[True, run[1:] != run[:-1]] & (best[run] == 0)
         best[run[hit]] = coeff[zero[hit]]
-    return cols[:, starts], best
+    return cols.take(starts, axis=1), best
 
 
 def _normalise(alpha: np.ndarray, coeff: np.ndarray):
@@ -251,13 +260,13 @@ def poly_add(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPolynomial
 def poly_mul(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPolynomial:
     """Tropical product f ⊙ g: Minkowski sum of monomial sets.
 
-    The two-factor case of ``_minkowski_fold``: coefficients and exponents
-    add across the full cross product, and a repeated exponent keeps the
-    larger coefficient.
+    The one-row case of ``_products``: coefficients and exponents add
+    across the full cross product, and a repeated exponent keeps the larger
+    coefficient.
     """
     if f.dim != g.dim:
         raise TropicalError("cannot multiply polynomials of different dimension")
-    return _minkowski_fold(f._alpha, f._coeff, [(g, 1)], cap=None)
+    return _products([(f, [(g, 1)])], cap=None)[0]
 
 
 def poly_weighted_combine(polys: Sequence[TropicalPolynomial],
@@ -268,12 +277,12 @@ def poly_weighted_combine(polys: Sequence[TropicalPolynomial],
 
     Returns the polynomial whose evaluation equals
     sum_j weights[j] * polys[j](x) + bias at every x.  Weights must be
-    nonnegative integral values (2 or 2.0, not 2.5); a zero weight
-    contributes the multiplicative identity.  One ``_minkowski_fold`` from
-    the bias row multiplies in polys[j]^{⊙weights[j]} for each nonzero
-    weight, in order.  After each factor, a product of more than ``cap``
-    monomials is pruned, and ``MonomialCapError`` is raised if it is still
-    over.
+    nonnegative integral values (2 or 2.0, not 2.5 or True); a zero weight
+    contributes the multiplicative identity.  The one-row case of
+    ``_products``: from the bias row it multiplies in
+    polys[j]^{⊙weights[j]} for each nonzero weight, in order.  After each
+    factor, a product of more than ``cap`` monomials is pruned, and
+    ``MonomialCapError`` is raised if it is still over.
     """
     polys = list(polys)
     if not polys:
@@ -285,7 +294,8 @@ def poly_weighted_combine(polys: Sequence[TropicalPolynomial],
         integral = [int(w) for w in weights]
     except (TypeError, ValueError, OverflowError):  # None, NaN, inf
         integral = None
-    if integral != weights:  # 2.0 passes, 2.5 and "2" do not
+    # 2.0 passes; 2.5, "2" and True do not.
+    if integral != weights or any(isinstance(w, (bool, np.bool_)) for w in weights):
         raise TropicalError(f"weights must be integers, got {weights}")
     weights = integral
     if any(w < 0 for w in weights):
@@ -293,8 +303,8 @@ def poly_weighted_combine(polys: Sequence[TropicalPolynomial],
     dim = polys[0].dim
     if any(p.dim != dim for p in polys):
         raise TropicalError("polynomials must share one ambient dimension")
-    return _minkowski_fold(np.zeros((1, dim), dtype=np.int64), np.array([_scalar(bias)]),
-                           [(p, w) for p, w in zip(polys, weights) if w], cap)
+    factors = [(p, w) for p, w in zip(polys, weights) if w]
+    return _products([(constant_polynomial(dim, bias), factors)], cap)[0]
 
 
 def _key_layout(degree: tuple[int, ...]):
@@ -325,50 +335,84 @@ def _key_layout(degree: tuple[int, ...]):
     return packing, word, place[:, None], np.array(radix[::-1], dtype=np.uint64)[:, None]
 
 
-def _minkowski_fold(alpha: np.ndarray, coeff: np.ndarray, factors,
-                    cap: int | None) -> TropicalPolynomial:
-    """The product (alpha, coeff) ⊙ p_1^{⊙w_1} ⊙ ... of ``factors`` [(p_j, w_j)].
+def _pack(layout, alpha: np.ndarray) -> np.ndarray:
+    """(words, r) keys of the exponent rows ``alpha`` under ``layout``."""
+    return layout[0] @ alpha.T.astype(np.uint64)
 
-    (alpha, coeff) are canonical rows (``_merge``) and every w_j >= 1.
-    The exponents stay packed in keys (``_key_layout``) sized by the
-    product's degree bound, the sum over the factors of each one's largest
-    exponent, which must fit in int64.  Each step is one broadcast key add
-    and one coefficient add, and one ``_merge`` of the key columns; the
-    exponents are unpacked once, at the end.  Past ``cap`` monomials after
-    a step the product is pruned, and ``MonomialCapError`` is raised if it
-    is still over.
+
+def _unpack(layout, keys: np.ndarray, coeff: np.ndarray) -> TropicalPolynomial:
+    """The polynomial of canonical packed rows."""
+    _, word, place, radix = layout
+    rows = (keys[word] // place % radix).T.astype(np.int64, order="C")
+    return TropicalPolynomial._trusted(rows, coeff)
+
+
+def _products(rows, cap: int | None) -> list[TropicalPolynomial]:
+    """The product start ⊙ p_1^{⊙w_1} ⊙ ... of each row (start, [(p_j, w_j)]).
+
+    The polynomials share one dimension and every w_j is an int >= 1.  All
+    rows share one key layout (``_key_layout``), sized by their degree
+    bound: per coordinate, the largest over the rows of start's largest
+    exponent plus the sum of w_j times p_j's.  It is worked out in Python
+    ints, and past int64 it is a ``TropicalError`` before any row is
+    folded.  Each distinct polynomial is packed once, and each row is one
+    ``_minkowski_fold``, in order.
     """
-    degree = alpha.max(axis=0).tolist()
-    for p, w in factors:
-        degree = [dk + w * m for dk, m in zip(degree, p._alpha.max(axis=0).tolist())]
-    if degree and max(degree) > _MAX_EXPONENT:
+    index, polys, plans = {}, [], []
+    for start, factors in rows:
+        plan = []
+        for p, w in ((start, 1), *factors):
+            j = index.get(id(p))
+            if j is None:
+                j = index[id(p)] = len(polys)
+                polys.append(p)
+            plan.append((j, w))
+        plans.append(plan)
+    peaks = [p._alpha.max(axis=0).tolist() for p in polys]
+    degree = [max(sum(w * peaks[j][k] for j, w in plan) for plan in plans)
+              for k in range(polys[0].dim)]
+    if max(degree) > _MAX_EXPONENT:
         raise TropicalError(f"product exponents reach {max(degree)}, past the "
                             f"int64 range")
-    packing, word, place, radix = _key_layout(tuple(degree))
+    layout = _key_layout(tuple(degree))
+    keys = [_pack(layout, p._alpha) for p in polys]
+    # p^{⊙w} is, as a function, w times p: the rows of p dilated by w.
+    dilated = {}
+    for plan in plans:
+        for j, w in plan[1:]:
+            if (j, w) not in dilated:
+                dilated[j, w] = keys[j] * w, polys[j]._coeff * w
+    return [_minkowski_fold(layout, keys[plan[0][0]], polys[plan[0][0]]._coeff,
+                            [dilated[jw] for jw in plan[1:]], cap)
+            for plan in plans]
 
-    def pack(rows):
-        return packing @ rows.T.astype(np.uint64)
 
-    def unpack(keys, coeff):
-        rows = (keys[word] // place % radix).T.astype(np.int64, order="C")
-        return TropicalPolynomial._trusted(rows, coeff)
+def _minkowski_fold(layout, keys: np.ndarray, coeff: np.ndarray, factors,
+                    cap: int | None) -> TropicalPolynomial:
+    """The product (keys, coeff) ⊙ q_1 ⊙ q_2 ⊙ ... of the packed rows
+    ``factors`` [(keys_j, coeff_j)], all canonical under ``layout``, whose
+    degree bound holds the product.
 
-    keys = pack(alpha)
-    for p, w in factors:
+    Each step is one broadcast key add and one coefficient add, and one
+    ``_merge`` of the key columns; the exponents are unpacked once, at the
+    end.  Past ``cap`` monomials after a step the product is pruned, and
+    ``MonomialCapError`` is raised if it is still over.
+    """
+    for factor_keys, factor_coeff in factors:
         # One row times sorted rows is sorted and has no repeats.
-        presorted = len(coeff) == 1 or p.num_monomials == 1
-        keys = (keys[:, :, None] + pack(p._alpha)[:, None, :] * w).reshape(len(keys), -1)
-        coeff = (coeff[:, None] + p._coeff * w).ravel()
+        presorted = len(coeff) == 1 or len(factor_coeff) == 1
+        keys = (keys[:, :, None] + factor_keys[:, None, :]).reshape(len(keys), -1)
+        coeff = (coeff[:, None] + factor_coeff).ravel()
         # Bottom rows are a bottom factor, or a sum that overflowed to -inf.
         keys, coeff = _merge(keys, coeff, presorted)
         if cap is not None and len(coeff) > cap:
-            out = prune_redundant_monomials(unpack(keys, coeff))
+            out = prune_redundant_monomials(_unpack(layout, keys, coeff))
             if out.num_monomials > cap:
                 raise MonomialCapError(
                     f"symbolic composition produced {out.num_monomials} monomials "
                     f"(cap {cap}); use the numeric forward recursion instead")
-            keys, coeff = pack(out._alpha), out._coeff
-    return unpack(keys, coeff)
+            keys, coeff = _pack(layout, out._alpha), out._coeff
+    return _unpack(layout, keys, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +510,17 @@ def _hull_vertices(points: np.ndarray, upper: bool = False) -> list[int]:
     incident = hull.simplices.ravel()[order]
     candidates = np.unique(faces)
     lo = np.searchsorted(incident, candidates, side="left")
-    hi = np.searchsorted(incident, candidates, side="right")
-    keep = []
-    for v, a, b in zip(candidates.tolist(), lo.tolist(), hi.tolist()):
-        sv = np.linalg.svd(normals[order[a:b] // dim], compute_uv=False)
-        if len(sv) == dim and sv[-1] > HULL_TOL:
-            keep.append(v)
-    return keep
+    facets = np.searchsorted(incident, candidates, side="right") - lo
+    # One SVD call per facet count; numpy runs each matrix of the stack
+    # through the same LAPACK routine as a lone one.  Fewer than dim
+    # normals never span the space.
+    keep = np.zeros(len(candidates), dtype=bool)
+    for k in np.unique(facets[facets >= dim]).tolist():
+        group = np.nonzero(facets == k)[0]
+        sv = np.linalg.svd(normals[order[lo[group, None] + np.arange(k)] // dim],
+                           compute_uv=False)
+        keep[group] = sv[:, -1] > HULL_TOL
+    return candidates[keep].tolist()
 
 
 def _hull_maximal(alpha: np.ndarray, coeff: np.ndarray) -> list[int]:

@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from tropnet.networks import (
     LayerSample,
     NetworkSpec,
     SpecError,
+    SymbolicRun,
     _batch_weight_dtype,
     degenerate,
     forward_fg,
@@ -39,7 +40,12 @@ from tropnet.networks import (
     uniform_real,
 )
 from tropnet.seeding import BLOCK_SIZE, stream
-from tropnet.tropical import MonomialCapError, count_linear_regions
+from tropnet.tropical import (
+    MonomialCapError,
+    count_linear_regions,
+    poly_add,
+    poly_weighted_combine,
+)
 
 
 def small_spec(widths=(2, 3, 2), r=2, wlo=-2, whi=2, seed_box=1.0):
@@ -378,6 +384,34 @@ class TestSingleDrawIsABatchOfOne:
                                        atol=1e-9 * scale)
 
 
+def regions_symbolic_spec() -> NetworkSpec:
+    """The small nets of the ``regions-symbolic`` benchmark workload."""
+    return NetworkSpec(widths=(2, 4, 4, 1), r=1,
+                       weight_dist=DistributionSpec("finite-support", values=(-1.0, 1.0)),
+                       bias_dist=uniform_real(-1.0, 1.0),
+                       coeff_dists=uniform_real(-1.0, 1.0),
+                       exponent_dists=uniform_int(0, 2),
+                       thresholds=("relu", "relu", "identity"))
+
+
+def combine_per_output(sym: SymbolicRun, cap: int):
+    """F and G of every layer of ``sym``'s draw with one public
+    ``poly_weighted_combine`` per output and F_i = H_i ⊕ t_i ⊙ G_i."""
+    f_layers, g_layers = [sym.f_polys[0]], [sym.g_polys[0]]
+    for layer in sym.layers:
+        polys = g_layers[-1] + f_layers[-1]
+        swapped = f_layers[-1] + g_layers[-1]
+        f_new, g_new = [], []
+        for i, weights in enumerate(np.hstack([layer.a_plus, layer.a_minus]).astype(int)):
+            g_i = poly_weighted_combine(polys, weights, cap=cap)
+            h_i = poly_weighted_combine(swapped, weights, bias=layer.b[i], cap=cap)
+            f_new.append(poly_add(h_i, g_i.shift(layer.t[i])))
+            g_new.append(g_i)
+        f_layers.append(tuple(f_new))
+        g_layers.append(tuple(g_new))
+    return f_layers, g_layers
+
+
 class TestRunSymbolic:
     def test_single_relu_neuron_polynomials(self):
         spec = NetworkSpec(widths=(1, 1), weight_dist=degenerate(1.0),
@@ -400,6 +434,20 @@ class TestRunSymbolic:
                 for l in range(spec.depth + 1):
                     np.testing.assert_allclose(sym.evaluate_nu(l, x), run.nu[l],
                                                atol=1e-9)
+
+    @pytest.mark.parametrize("spec, seeds", [(regions_symbolic_spec(), range(40)),
+                                             (reference_classifier_spec(), range(4))])
+    def test_layer_products_equal_one_combine_per_output(self, spec, seeds):
+        # The layer pass folds all of a layer's outputs under one key
+        # layout; each polynomial is the per-output combine's, bit for bit.
+        for seed in seeds:
+            sym = run_symbolic(spec, seed=seed)
+            want_f, want_g = combine_per_output(sym, cap=10_000)
+            for got, want in ((sym.f_polys, want_f), (sym.g_polys, want_g)):
+                assert len(got) == len(want)
+                for got_layer, want_layer in zip(got, want):
+                    assert [(p._alpha.tobytes(), p._coeff.tobytes()) for p in got_layer] \
+                        == [(p._alpha.tobytes(), p._coeff.tobytes()) for p in want_layer]
 
     def test_hull_count_equals_lp_on_test_09_networks(self):
         spec = NetworkSpec(widths=(2, 2, 1), r=2, weight_dist=uniform_int(-1, 1),
@@ -602,3 +650,77 @@ class TestSpecJson:
     def test_every_law_family_round_trips(self, kind):
         spec = _law_family(kind)
         assert through_json(spec) == spec
+
+
+#: Values a drawn law reads: mostly small integers, some halves, and one
+#: that overflows a double as soon as two of them add.
+LAW_NUMBERS = st.sampled_from([-2, -1, 0, 1, 2, -1, 0, 1, 0.5, -1.5, 1e308])
+LAW_KINDS_JSON = ("bounded-uniform-integer", "bounded-uniform-real",
+                  "truncated-gaussian", "finite-support")
+SPEC_FIELDS = [f.name for f in fields(NetworkSpec)]
+
+
+@st.composite
+def law_dicts(draw, numbers=LAW_NUMBERS, integral=False):
+    """A JSON law of any kind, of an integer kind four times in five if
+    ``integral``.  One draw in eight crosses its bounds, and a Gaussian's
+    sigma may be 0."""
+    kinds = LAW_KINDS_JSON[::3] * 3 + LAW_KINDS_JSON if integral else LAW_KINDS_JSON
+    kind = draw(st.sampled_from(kinds))
+    if kind == "finite-support":
+        return {"kind": kind, "values": draw(st.lists(numbers, min_size=1, max_size=3))}
+    lo, hi = sorted([draw(numbers), draw(numbers)],
+                    reverse=draw(st.sampled_from([False] * 7 + [True])))
+    law = {"kind": kind, "lo": lo, "hi": hi}
+    if kind == "truncated-gaussian":
+        law["sigma"] = draw(st.sampled_from([0.0, 0.5, 1.0, 1.0]))
+    return law
+
+
+@st.composite
+def tiny_spec_dicts(draw):
+    """A JSON network spec of widths <= 3 and depth <= 3, with relu,
+    identity or random thresholds."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    modes = st.sampled_from(["relu", "identity", "random"])
+    depth = len(widths) - 1
+    spec = {"widths": widths, "r": draw(st.integers(1, 2)),
+            "weight_dist": draw(law_dicts(st.integers(-2, 2), integral=True)),
+            "bias_dist": draw(law_dicts()),
+            "coeff_dists": draw(law_dicts()),
+            "exponent_dists": draw(law_dicts(st.integers(-1, 2), integral=True)),
+            "init_mode": draw(st.sampled_from(["random", "identity", "random", "zero"])),
+            "thresholds": draw(modes | st.lists(modes, min_size=depth, max_size=depth)
+                               | st.lists(modes, min_size=1, max_size=3))}
+    if draw(st.integers(0, 3)):
+        spec["threshold_dist"] = draw(law_dicts())
+    return spec
+
+
+class TestDrawnSpecs:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tiny_spec_dicts(), st.integers(0, 2 ** 32))
+    def test_symbolic_pass_matches_the_pair_recursion_or_both_are_typed_errors(
+            self, data, seed):
+        # A rejected spec names its field.  An accepted one evaluates to the
+        # pair recursion's nu; otherwise each pass raises a typed error (a
+        # cap error has no numeric twin).
+        try:
+            spec = network_spec_from_dict(data)
+        except SpecError as exc:
+            assert re.match(rf"({'|'.join(SPEC_FIELDS)})\b", str(exc)), str(exc)
+            return
+        try:
+            sym = run_symbolic(spec, seed, cap=300)
+        except (SpecError, MonomialCapError):
+            sym = None
+        box = np.asarray(spec.input_box)
+        for x in np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], size=(3, spec.d)):
+            try:
+                run = run_network(spec, x, seed)
+            except SpecError:
+                continue
+            for l in range(spec.depth + 1) if sym is not None else ():
+                scale = max(1.0, np.abs(run.f[l]).max(), np.abs(run.g[l]).max())
+                np.testing.assert_allclose(sym.evaluate_nu(l, x), run.nu[l], rtol=1e-9,
+                                           atol=1e-9 * scale)

@@ -31,6 +31,7 @@ from tropnet.tropical import (
     _hull_maximal,
     _key_layout,
     _lp_maximal,
+    _products,
 )
 
 
@@ -199,6 +200,18 @@ class TestScalarOps:
                        lambda: power(const(1e308), 10), lambda: power(const(-1e308), 10)):
                 with pytest.raises(FloatingPointError):
                     op()
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_booleans_are_not_numbers(self, flag):
+        # float(True) is 1.0 and int(True) == 1, but a bool is not a number.
+        f = poly((0.0, (0,)), (0.5, (1,)))
+        for op in (lambda: f.shift(flag), lambda: constant_polynomial(1, flag),
+                   lambda: poly_weighted_combine([f], [1], bias=flag)):
+            with pytest.raises(TropicalError, match="booleans"):
+                op()
+        for weights in ([flag], np.array([flag]), [2, flag]):
+            with pytest.raises(TropicalError, match="weights must be integers"):
+                poly_weighted_combine([f] * len(weights), weights)
 
 
 class TestPolynomials:
@@ -480,6 +493,24 @@ def combine_cases(draw):
     return d, polys, weights, draw(HALVES)
 
 
+@st.composite
+def shared_layout_cases(draw):
+    """(d, polys, rows): two to four (bias, weights) rows over one list of
+    polynomials.  A polynomial's exponents are small, or near multiples of
+    2**40, so a row over the small ones fits one key word on its own while
+    the rows' shared bound needs several."""
+    d = draw(st.integers(1, 4))
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        scale = draw(st.sampled_from([1, 2 ** 40]))
+        coordinate = st.tuples(st.integers(0, 2), st.integers(0, 1)).map(
+            lambda kj, scale=scale: kj[0] * scale + kj[1])
+        polys.append(from_rows(draw(st.lists(st.tuples(st.tuples(*[coordinate] * d), HALVES),
+                                             min_size=1, max_size=4))))
+    weights = st.lists(st.integers(0, 3), min_size=len(polys), max_size=len(polys))
+    return d, polys, draw(st.lists(st.tuples(HALVES, weights), min_size=2, max_size=4))
+
+
 class TestMinkowskiFold:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(combine_cases())
@@ -524,6 +555,55 @@ class TestMinkowskiFold:
         with pytest.raises(MonomialCapError):
             poly_weighted_combine([f, f], [1, 1], cap=2)
         assert poly_weighted_combine([f, f], [1, 1], cap=3) == poly((0.0, (0,)), (2.0, (2,)), (0.0, (4,)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(shared_layout_cases())
+    def test_rows_sharing_one_layout_are_each_the_cross_product(self, case):
+        # Each row equals its own one-row product bit for bit, whose layout
+        # is sized by that row alone.
+        d, polys, rows = case
+        out = _products([(const(bias, d), [(p, w) for p, w in zip(polys, weights) if w])
+                         for bias, weights in rows], cap=None)
+        assert len(out) == len(rows)
+        for (bias, weights), product in zip(rows, out):
+            assert rows_of(product) == product_oracle(zip(polys, weights), bias, d)
+            alone = poly_weighted_combine(polys, weights, bias=bias)
+            assert product._alpha.tobytes() == alone._alpha.tobytes()
+            assert product._coeff.tobytes() == alone._coeff.tobytes()
+
+    def test_a_one_word_row_under_a_several_word_layout(self):
+        small = poly((0.5, (1, 2)), (-1.0, (2, 0)))
+        wide = poly((0.0, (2 ** 40, 3)), (1.5, (0, 2 ** 41)))
+        assert len(_key_layout((4, 4))[0]) == 1
+        assert len(_key_layout((2 + 3 * 2 ** 40, 2 + 3 * 2 ** 41))[0]) == 2
+        square, mixed = _products([(const(ZERO, 2), [(small, 2)]),
+                                   (const(1.0, 2), [(small, 1), (wide, 3)])], cap=None)
+        assert rows_of(square) == product_oracle([(small, 2)], ZERO, 2)
+        assert rows_of(mixed) == product_oracle([(small, 1), (wide, 3)], 1.0, 2)
+
+    def test_a_row_past_the_cap_is_pruned_or_raises(self):
+        # x^2 ⊕ 0 squared ties in its middle monomial.  x^2 ⊕ 1·x ⊕ 0
+        # squared has five monomials, of which the upper hull keeps three.
+        f = poly((0.0, (0,)), (0.0, (2,)))
+        g = poly((0.0, (0,)), (1.0, (1,)), (0.0, (2,)))
+        zero = const(ZERO)
+        assert _products([(zero, [(f, 1)]), (zero, [(f, 1), (f, 1)])], cap=2) \
+            == [f, poly((0.0, (0,)), (0.0, (4,)))]
+        with pytest.raises(MonomialCapError):
+            _products([(zero, [(f, 1)]), (zero, [(g, 1), (g, 1)])], cap=2)
+        assert _products([(zero, [(f, 1)]), (zero, [(g, 1), (g, 1)])], cap=3)[1] \
+            == poly((0.0, (0,)), (2.0, (2,)), (0.0, (4,)))
+
+    def test_exponent_overflow_in_any_row_is_an_error_before_folding(self):
+        # The layout covers every row, so an overflowing row is found before
+        # an earlier row can cross the cap.
+        g = poly((0.0, (0,)), (1.0, (1,)), (0.0, (2,)))
+        top = poly((0.0, (2 ** 62,)))
+        with pytest.raises(TropicalError, match="int64") as exc:
+            _products([(const(ZERO), [(g, 1), (g, 1)]), (const(ZERO), [(top, 2)])], cap=2)
+        assert not isinstance(exc.value, MonomialCapError)
+        with pytest.raises(MonomialCapError):
+            _products([(const(ZERO), [(g, 1), (g, 1)]), (const(ZERO), [(top, 1)])], cap=2)
 
     def test_key_order_is_the_row_order(self):
         rng = np.random.default_rng(12)
