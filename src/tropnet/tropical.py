@@ -104,10 +104,7 @@ def _merge(cols: np.ndarray, coeff: np.ndarray, presorted: bool = False):
     cols, coeff = cols.take(order, axis=1), coeff.take(order)
     first = np.empty(len(coeff), dtype=bool)
     first[0] = True
-    if len(cols) == 1:  # one key word: skip the reduction over rows
-        np.not_equal(cols[0, 1:], cols[0, :-1], out=first[1:])
-    else:
-        np.logical_or.reduce(cols[:, 1:] != cols[:, :-1], axis=0, out=first[1:])
+    np.logical_or.reduce(cols[:, 1:] != cols[:, :-1], axis=0, out=first[1:])
     starts = np.flatnonzero(first)
     best = np.maximum.reduceat(coeff, starts)
     if not best.all():
@@ -355,7 +352,8 @@ def _products(rows, cap: int | None) -> list[TropicalPolynomial]:
     bound: per coordinate, the largest over the rows of start's largest
     exponent plus the sum of w_j times p_j's.  It is worked out in Python
     ints, and past int64 it is a ``TropicalError`` before any row is
-    folded.  Each distinct polynomial is packed once, and each row is one
+    folded.  Each distinct polynomial is packed once, each (p_j, w_j) pair
+    is dilated once, when it is first folded, and each row is one
     ``_minkowski_fold``, in order.
     """
     index, polys, plans = {}, [], []
@@ -376,14 +374,18 @@ def _products(rows, cap: int | None) -> list[TropicalPolynomial]:
                             f"int64 range")
     layout = _key_layout(tuple(degree))
     keys = [_pack(layout, p._alpha) for p in polys]
-    # p^{⊙w} is, as a function, w times p: the rows of p dilated by w.
     dilated = {}
-    for plan in plans:
-        for j, w in plan[1:]:
-            if (j, w) not in dilated:
-                dilated[j, w] = keys[j] * w, polys[j]._coeff * w
+
+    def dilate(j, w):
+        # p^{⊙w} is, as a function, w times p: the rows of p dilated by w.
+        # Made on first use, so an overflow of w times p's coefficients
+        # comes up where that factor is folded.
+        if (j, w) not in dilated:
+            dilated[j, w] = keys[j] * w, polys[j]._coeff * w
+        return dilated[j, w]
+
     return [_minkowski_fold(layout, keys[plan[0][0]], polys[plan[0][0]]._coeff,
-                            [dilated[jw] for jw in plan[1:]], cap)
+                            (dilate(j, w) for j, w in plan[1:]), cap)
             for plan in plans]
 
 

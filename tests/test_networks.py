@@ -703,22 +703,31 @@ class TestDrawnSpecs:
     def test_symbolic_pass_matches_the_pair_recursion_or_both_are_typed_errors(
             self, data, seed):
         # A rejected spec names its field.  An accepted one evaluates to the
-        # pair recursion's nu; otherwise each pass raises a typed error (a
-        # cap error has no numeric twin).
+        # pair recursion's nu; otherwise each pass raises a typed error.  Only
+        # a cap error and an int64 exponent overflow have no numeric twin.
         try:
             spec = network_spec_from_dict(data)
         except SpecError as exc:
             assert re.match(rf"({'|'.join(SPEC_FIELDS)})\b", str(exc)), str(exc)
             return
+        sym = error = None
         try:
             sym = run_symbolic(spec, seed, cap=300)
-        except (SpecError, MonomialCapError):
-            sym = None
+        except MonomialCapError:
+            pass
+        except SpecError as exc:
+            if not str(exc).startswith("symbolic exponents overflow"):
+                error = exc
         box = np.asarray(spec.input_box)
         for x in np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], size=(3, spec.d)):
+            if error is not None:
+                with pytest.raises(SpecError):
+                    run_network(spec, x, seed)
+                continue
             try:
                 run = run_network(spec, x, seed)
             except SpecError:
+                assert sym is None, "the pair recursion failed where the symbolic pass ran"
                 continue
             for l in range(spec.depth + 1) if sym is not None else ():
                 scale = max(1.0, np.abs(run.f[l]).max(), np.abs(run.g[l]).max())

@@ -605,6 +605,20 @@ class TestMinkowskiFold:
         with pytest.raises(MonomialCapError):
             _products([(const(ZERO), [(g, 1), (g, 1)]), (const(ZERO), [(top, 1)])], cap=2)
 
+    def test_coefficient_overflow_comes_up_where_its_factor_is_folded(self):
+        # A factor is dilated just before it is folded, so a row that
+        # crosses the cap raises before a later factor or row overflows.
+        g = poly((0.0, (0,)), (1.0, (1,)), (0.0, (2,)))
+        huge = poly((1e308, (0,)))
+        with np.errstate(over="raise"):
+            with pytest.raises(MonomialCapError):
+                _products([(const(ZERO), [(g, 1), (g, 1)]), (const(ZERO), [(huge, 2)])],
+                          cap=2)
+            with pytest.raises(MonomialCapError):
+                _products([(const(ZERO), [(g, 1), (g, 1), (huge, 2)])], cap=2)
+            with pytest.raises(FloatingPointError):
+                _products([(const(ZERO), [(huge, 2), (g, 1), (g, 1)])], cap=2)
+
     def test_key_order_is_the_row_order(self):
         rng = np.random.default_rng(12)
         for degree, words in [((2,), 1), ((3, 1, 4), 1), ((2 ** 40,) * 3, 3),
